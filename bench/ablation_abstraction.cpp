@@ -57,9 +57,10 @@ Score scorePipeline(const bench::MinedCorpus &Mined,
     if (!IsFix && !IsRefactor)
       continue;
     bool Survives = false;
-    for (const std::string &Target : Api.targetClasses())
-      for (const usage::UsageChange &UC :
-           System.usageChangesFor(*Change, Target))
+    ChangeRecord Record = System.processChange(*Change, Api.targetClasses(),
+                                               {}, *System.labels());
+    for (const auto &[Target, Changes] : Record.PerClass)
+      for (const usage::UsageChange &UC : Changes)
         Survives = Survives || classifySolo(UC) == FilterStage::Kept;
     if (IsFix) {
       ++S.FixesTotal;

@@ -57,10 +57,12 @@ int main(int argc, char **argv) {
           DagNodes += Dag.size();
           ++DagCount;
         }
-        for (const usage::UsageChange &UC :
-             System.usageChangesFor(*Change, Target))
-          Survives = Survives || classifySolo(UC) == FilterStage::Kept;
       }
+      ChangeRecord Record = System.processChange(
+          *Change, Api.targetClasses(), {}, *System.labels());
+      for (const auto &[Target, Changes] : Record.PerClass)
+        for (const usage::UsageChange &UC : Changes)
+          Survives = Survives || classifySolo(UC) == FilterStage::Kept;
       if (IsFix) {
         ++FixTotal;
         FixSurvive += Survives;

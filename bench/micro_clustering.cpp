@@ -9,9 +9,9 @@
 /// Measures the parallel clustering engine (memoised distance cache +
 /// threaded matrix + nearest-neighbor-chain agglomeration) against the
 /// seed's serial path (uncached usageDist matrix + O(n^3) naive
-/// agglomeration) on a synthetic usage-change corpus, verifies the two
-/// dendrograms are identical, and emits one JSON object so the driver can
-/// scrape the speedup.
+/// agglomeration from tests/oracles) on a synthetic usage-change corpus,
+/// verifies the engine dendrogram encodes exactly the oracle's merges,
+/// and emits one JSON object so scripts can scrape the speedup.
 ///
 ///   micro_clustering [n] [threads] [seed]     (defaults: 500 8 42)
 ///
@@ -20,6 +20,7 @@
 #include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
+#include "oracles/NaiveClustering.h"
 #include "support/JsonWriter.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
@@ -87,20 +88,6 @@ double millisSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
-bool sameTree(const Dendrogram &A, const Dendrogram &B) {
-  if (A.leafCount() != B.leafCount() || A.nodes().size() != B.nodes().size() ||
-      A.root() != B.root())
-    return false;
-  for (std::size_t I = 0; I < A.nodes().size(); ++I) {
-    const Dendrogram::Node &X = A.nodes()[I];
-    const Dendrogram::Node &Y = B.nodes()[I];
-    if (X.Left != Y.Left || X.Right != Y.Right || X.Item != Y.Item ||
-        X.Height != Y.Height)
-      return false;
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -128,8 +115,7 @@ int main(int argc, char **argv) {
       },
       nullptr);
   double BaselineMatrixMs = millisSince(BaselineStart);
-  Dendrogram BaselineTree = agglomerateDistanceMatrix(
-      N, std::move(BaselineMatrix), ClusteringOptions::Algorithm::Naive);
+  std::vector<Merge> BaselineMerges = naiveMerges(N, BaselineMatrix);
   double BaselineMs = millisSince(BaselineStart);
 
   // Engine: interned labels + memoised similarity tables, threaded matrix,
@@ -142,11 +128,12 @@ int main(int argc, char **argv) {
   std::vector<double> EngineMatrix = pairwiseDistanceMatrix(
       N, [&](std::size_t I, std::size_t J) { return Cache(I, J); }, &Pool);
   double EngineMatrixMs = millisSince(EngineStart) - CacheMs;
-  Dendrogram EngineTree = agglomerateDistanceMatrix(
-      N, std::move(EngineMatrix), ClusteringOptions::Algorithm::NNChain);
+  Dendrogram EngineTree =
+      agglomerateDistanceMatrix(N, std::move(EngineMatrix));
   double EngineMs = millisSince(EngineStart);
 
-  bool Identical = sameTree(BaselineTree, EngineTree);
+  bool Identical = EngineTree.leafCount() == N &&
+                   dendrogramMerges(EngineTree) == BaselineMerges;
   double Speedup = EngineMs > 0.0 ? BaselineMs / EngineMs : 0.0;
 
   JsonWriter W;

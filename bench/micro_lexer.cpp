@@ -11,7 +11,7 @@
 /// it
 ///
 ///   * first proves byte-identical behavior: the production Lexer and the
-///     retained seed scanner (javaast/ReferenceLexer) must agree on every
+///     retained seed scanner (oracles/ReferenceLexer) must agree on every
 ///     token (kind, spelling, line/column/offset) and every diagnostic of
 ///     every source — a bench that got faster by lexing differently must
 ///     fail, not report a speedup;
@@ -42,7 +42,7 @@
 #include "bench_common.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
+#include "oracles/ReferenceLexer.h"
 #include "support/JsonWriter.h"
 
 #include <chrono>

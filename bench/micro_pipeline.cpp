@@ -30,11 +30,11 @@
 #include "exec/Supervisor.h"
 #include "corpus/Miner.h"
 #include "corpus/Scenario.h"
-#include "javaast/AstPrinter.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
 #include "obs/Observer.h"
+#include "oracles/AstPrinter.h"
+#include "oracles/ReferenceLexer.h"
 #include "support/JsonWriter.h"
 
 #include <chrono>
@@ -148,7 +148,8 @@ void BM_FullCodeChange(benchmark::State &State) {
   const std::vector<std::string> &Targets =
       apimodel::CryptoApiModel::javaCryptoApi().targetClasses();
   for (auto _ : State)
-    benchmark::DoNotOptimize(System.processChange(Change, Targets, {}));
+    benchmark::DoNotOptimize(
+        System.processChange(Change, Targets, {}, *System.labels()));
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_FullCodeChange);

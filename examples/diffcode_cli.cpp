@@ -172,10 +172,11 @@ int runDiff(int argc, char **argv, bool Json) {
   const apimodel::CryptoApiModel &Api =
       apimodel::CryptoApiModel::javaCryptoApi();
   core::DiffCode System(Api);
+  core::ChangeRecord Record =
+      System.processChange(Change, Api.targetClasses(), {}, *System.labels());
   bool AnySemantic = false;
   for (const std::string &Target : Api.targetClasses()) {
-    for (const usage::UsageChange &UC :
-         System.usageChangesFor(Change, Target)) {
+    for (const usage::UsageChange &UC : Record.PerClass[Target]) {
       core::FilterStage Verdict = core::classifySolo(UC);
       if (Json) {
         std::printf("%s\n", core::usageChangeToJson(UC).c_str());
@@ -249,10 +250,11 @@ int runSuggest(int argc, char **argv) {
   const apimodel::CryptoApiModel &Api =
       apimodel::CryptoApiModel::javaCryptoApi();
   core::DiffCode System(Api);
+  core::ChangeRecord Record =
+      System.processChange(Change, Api.targetClasses(), {}, *System.labels());
   bool Suggested = false;
   for (const std::string &Target : Api.targetClasses())
-    for (const usage::UsageChange &UC :
-         System.usageChangesFor(Change, Target)) {
+    for (const usage::UsageChange &UC : Record.PerClass[Target]) {
       if (core::classifySolo(UC) != core::FilterStage::Kept)
         continue;
       if (auto Rule = rules::suggestRule(UC, "suggested")) {

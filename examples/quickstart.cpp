@@ -105,7 +105,9 @@ int main() {
   Change.OldCode = OldVersion;
   Change.NewCode = NewVersion;
   std::printf("\nusage changes (removed/added features):\n");
-  for (const usage::UsageChange &C : System.usageChangesFor(Change, "Cipher"))
+  core::ChangeRecord Record =
+      System.processChange(Change, {"Cipher"}, {}, *System.labels());
+  for (const usage::UsageChange &C : Record.PerClass["Cipher"])
     std::printf("%s\n", C.str().c_str());
 
   // Step 4: what would CryptoChecker have said about the old version?

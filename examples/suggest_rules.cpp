@@ -55,7 +55,8 @@ int main() {
 
   std::printf("== code change: SHA-1 -> SHA-256 ==\n");
   std::vector<usage::UsageChange> Changes =
-      System.usageChangesFor(Change, "MessageDigest");
+      System.processChange(Change, {"MessageDigest"}, {}, *System.labels())
+          .PerClass["MessageDigest"];
   for (const usage::UsageChange &C : Changes)
     std::printf("%s", C.str().c_str());
   if (Changes.empty()) {

@@ -67,7 +67,8 @@ int main() {
 
   std::printf("usage change for SSLContext (SSLv3 -> TLSv1.2 commit):\n");
   std::vector<usage::UsageChange> Changes =
-      System.usageChangesFor(Change, "SSLContext");
+      System.processChange(Change, {"SSLContext"}, {}, *System.labels())
+          .PerClass["SSLContext"];
   for (const usage::UsageChange &C : Changes)
     std::printf("%s", C.str().c_str());
   if (Changes.empty()) {

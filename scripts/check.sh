@@ -17,53 +17,38 @@
 # sanitizer sweep never invalidates the incremental tier-1 build.
 #   scripts/check.sh --asan -L tier1
 #
-# --bench-sharding (opt-in): after the test suite, run the sharded
-# clustering sweep at paper scale (bench/micro_sharding). Self-verifying
-# — non-zero exit on a determinism or memory-budget violation — and
-# leaves BENCH_sharding.json in the build directory.
-#   scripts/check.sh --bench-sharding -L tier1
-#
-# --bench-interning (opt-in): after the test suite, run the interned
-# data-model sweep (bench/micro_interning) at n in {1k, 5k, 10k}.
-# Self-verifying — non-zero exit if the interned model saves less than
-# 2x resident bytes per change or the warmed cache is slower than the
-# string-space metric — and leaves BENCH_interning.json in the build
-# directory.
-#   scripts/check.sh --bench-interning -L tier1
-#
-# --bench-faults (opt-in): after the test suite, run the fault-campaign
-# sweep (bench/micro_faults): per-ChangeStatus counts vs wall time across
-# fault rates and sites, read from metrics snapshots. Self-verifying —
-# non-zero exit on an incomplete report, a nondeterministic campaign, or
-# metrics that disagree with the health block — and leaves
-# BENCH_faults.json in the build directory.
-#   scripts/check.sh --bench-faults -L tier1
-#
-# --bench-lexer (opt-in): after the test suite, run the front-end scanner
-# sweep (bench/micro_lexer): table-driven lexer vs the retained seed
-# scanner over the concatenated corpus stream, with each timing taken in
-# a forked child so neither scanner inherits the other's heap state.
-# Self-verifying — non-zero exit if the two scanners are not
-# byte-identical on every corpus source or the corpus-stream speedup
-# falls below 5x — and leaves BENCH_lexer.json in the build directory.
-#   scripts/check.sh --bench-lexer -L tier1
-#
-# --bench-incremental (opt-in): after the test suite, run the service
-# append-vs-cold-batch guard (bench/micro_incremental) at n=10k.
-# Self-verifying — non-zero exit if the warmed session's snapshot is not
-# byte-identical to the cold batch report or the single-commit append
-# speedup falls below 5x — and leaves BENCH_incremental.json in the
-# build directory.
-#   scripts/check.sh --bench-incremental -L tier1
-#
-# --bench-scan (opt-in): after the test suite, run the streaming rule
-# scanner guard (bench/micro_scan) at 5x the Fig-10 corpus.
-# Self-verifying — non-zero exit if the streamed scan report is not
-# byte-identical to the serial CryptoChecker loop at 1/2/8 threads, the
-# warm-scan speedup falls below 3x, the per-rule counters are missing
-# from the metrics snapshot, or refinement widens a verdict — and leaves
-# BENCH_scan.json in the build directory.
-#   scripts/check.sh --bench-scan -L tier1
+# --bench <name|all> (opt-in, repeatable): after the test suite, run
+# one self-verifying bench — or, with `all`, each of them in the order
+# below. Every bench exits non-zero when its check fails and leaves
+# BENCH_<name>.json in the build directory.
+#   sharding     bench/micro_sharding 10000 42: sharded clustering at
+#                paper scale; fails on a determinism or memory-budget
+#                violation.
+#   interning    bench/micro_interning 10000 42: interned data model at
+#                n in {1k, 5k, 10k}; fails if it saves less than 2x
+#                resident bytes per change or the warmed cache is slower
+#                than the string-space metric.
+#   faults       bench/micro_faults 120 42: per-ChangeStatus counts vs
+#                wall time across fault rates and sites, read from
+#                metrics snapshots; fails on an incomplete report, a
+#                nondeterministic campaign, or metrics that disagree with
+#                the health block.
+#   lexer        bench/micro_lexer 120 42: table-driven lexer vs the seed
+#                scanner oracle over the concatenated corpus stream, each
+#                timing in a forked child; fails unless the two are
+#                byte-identical on every corpus source and the
+#                corpus-stream speedup is at least 5x.
+#   incremental  bench/micro_incremental 10000 42: service append vs a
+#                cold batch; fails unless the warmed session's snapshot
+#                is byte-identical to the cold batch report and the
+#                single-commit append speedup is at least 5x.
+#   scan         bench/micro_scan 600 42: streaming rule scanner at 5x the
+#                Fig-10 corpus; fails unless the report is byte-identical
+#                to the serial CryptoChecker loop at 1/2/8 threads, the
+#                warm-scan speedup is at least 3x, the per-rule counters
+#                are in the metrics snapshot, and refinement never widens
+#                a verdict.
+#   scripts/check.sh --bench all -L tier1
 #
 # --chaos (opt-in): after the regular suite, run the seeded chaos
 # campaign (ctest -L chaos): workers that crash, hang, OOM-exit, start
@@ -85,14 +70,12 @@ BUILD_DIR=build
 CMAKE_ARGS=()
 CTEST_ARGS=()
 ASAN=0
-BENCH_SHARDING=0
-BENCH_INTERNING=0
-BENCH_FAULTS=0
-BENCH_LEXER=0
-BENCH_INCREMENTAL=0
-BENCH_SCAN=0
+ALL_BENCHES=(sharding interning faults lexer incremental scan)
+BENCHES=()
 CHAOS=0
-for arg in "$@"; do
+while [[ $# -gt 0 ]]; do
+  arg="$1"
+  shift
   if [[ "$arg" == "--asan" ]]; then
     ASAN=1
     BUILD_DIR=build-asan
@@ -100,18 +83,17 @@ for arg in "$@"; do
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
       "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=all"
     )
-  elif [[ "$arg" == "--bench-sharding" ]]; then
-    BENCH_SHARDING=1
-  elif [[ "$arg" == "--bench-interning" ]]; then
-    BENCH_INTERNING=1
-  elif [[ "$arg" == "--bench-faults" ]]; then
-    BENCH_FAULTS=1
-  elif [[ "$arg" == "--bench-lexer" ]]; then
-    BENCH_LEXER=1
-  elif [[ "$arg" == "--bench-incremental" ]]; then
-    BENCH_INCREMENTAL=1
-  elif [[ "$arg" == "--bench-scan" ]]; then
-    BENCH_SCAN=1
+  elif [[ "$arg" == "--bench" ]]; then
+    name="${1:-}"
+    shift || true
+    if [[ "$name" == "all" ]]; then
+      BENCHES+=("${ALL_BENCHES[@]}")
+    elif [[ " ${ALL_BENCHES[*]} " == *" $name "* && -n "$name" ]]; then
+      BENCHES+=("$name")
+    else
+      echo "--bench takes one of: ${ALL_BENCHES[*]} all" >&2
+      exit 2
+    fi
   elif [[ "$arg" == "--chaos" ]]; then
     CHAOS=1
   else
@@ -172,35 +154,28 @@ else
   ./bench/micro_pipeline --verify-overhead
 fi
 
-if [[ "$BENCH_SHARDING" == "1" ]]; then
-  echo "== sharded clustering sweep (bench/micro_sharding) =="
-  ./bench/micro_sharding 10000 42 BENCH_sharding.json
-fi
-
-if [[ "$BENCH_INTERNING" == "1" ]]; then
-  echo "== interned data model sweep (bench/micro_interning) =="
-  ./bench/micro_interning 10000 42 BENCH_interning.json
-fi
-
-if [[ "$BENCH_FAULTS" == "1" ]]; then
-  echo "== fault-campaign sweep (bench/micro_faults) =="
-  ./bench/micro_faults 120 42 BENCH_faults.json
-fi
-
-if [[ "$BENCH_LEXER" == "1" ]]; then
-  echo "== front-end scanner sweep (bench/micro_lexer) =="
-  ./bench/micro_lexer 120 42 BENCH_lexer.json
-fi
-
-if [[ "$BENCH_INCREMENTAL" == "1" ]]; then
-  echo "== service incremental-append guard (bench/micro_incremental) =="
-  ./bench/micro_incremental 10000 42 BENCH_incremental.json
-fi
-
-if [[ "$BENCH_SCAN" == "1" ]]; then
-  echo "== streaming rule scanner guard (bench/micro_scan) =="
-  ./bench/micro_scan 600 42 BENCH_scan.json
-fi
+for name in ${BENCHES[@]+"${BENCHES[@]}"}; do
+  case "$name" in
+    sharding)
+      echo "== sharded clustering sweep (bench/micro_sharding) =="
+      ./bench/micro_sharding 10000 42 BENCH_sharding.json ;;
+    interning)
+      echo "== interned data model sweep (bench/micro_interning) =="
+      ./bench/micro_interning 10000 42 BENCH_interning.json ;;
+    faults)
+      echo "== fault-campaign sweep (bench/micro_faults) =="
+      ./bench/micro_faults 120 42 BENCH_faults.json ;;
+    lexer)
+      echo "== front-end scanner sweep (bench/micro_lexer) =="
+      ./bench/micro_lexer 120 42 BENCH_lexer.json ;;
+    incremental)
+      echo "== service incremental-append guard (bench/micro_incremental) =="
+      ./bench/micro_incremental 10000 42 BENCH_incremental.json ;;
+    scan)
+      echo "== streaming rule scanner guard (bench/micro_scan) =="
+      ./bench/micro_scan 600 42 BENCH_scan.json ;;
+  esac
+done
 
 if [[ "$CHAOS" == "1" ]]; then
   echo "== seeded chaos campaign (ctest -L chaos) =="

@@ -99,7 +99,7 @@ namespace {
 /// then the clusters' representatives (each cluster's minimum leaf id).
 /// Distinct pairs never compare equal — the pair of representatives is
 /// unique — so the complete-linkage dendrogram is unique under this
-/// order, and both agglomeration engines below reproduce it exactly
+/// order, and the nearest-neighbor chain below reproduces it exactly
 /// (see DESIGN.md "Clustering engine" for the argument).
 struct MergeKey {
   double Dist;
@@ -180,62 +180,11 @@ std::vector<MergeStep> nnChainMerges(std::size_t N, std::vector<double> &D) {
   return Steps;
 }
 
-/// The O(n^3) greedy reference: every step recomputes all pairwise
-/// linkages as max over member items of the raw distance matrix and
-/// merges the canonical minimum. Deliberately independent arithmetic
-/// from nnChainMerges (no Lance-Williams updates) so the differential
-/// test exercises two genuinely different code paths.
-std::vector<MergeStep> naiveMerges(std::size_t N,
-                                   const std::vector<double> &D) {
-  struct Cluster {
-    std::size_t MinItem;
-    std::vector<std::size_t> Members;
-  };
-  std::vector<Cluster> Active;
-  Active.reserve(N);
-  for (std::size_t I = 0; I < N; ++I)
-    Active.push_back({I, {I}});
-
-  std::vector<MergeStep> Steps;
-  Steps.reserve(N - 1);
-  while (Active.size() > 1) {
-    MergeKey Best{std::numeric_limits<double>::infinity(), N, N};
-    std::size_t BestI = 0, BestJ = 1;
-    for (std::size_t I = 0; I < Active.size(); ++I)
-      for (std::size_t J = I + 1; J < Active.size(); ++J) {
-        double Linkage = 0.0;
-        for (std::size_t A : Active[I].Members)
-          for (std::size_t B : Active[J].Members)
-            Linkage = std::max(Linkage, D[A * N + B]);
-        MergeKey Key{Linkage,
-                     std::min(Active[I].MinItem, Active[J].MinItem),
-                     std::max(Active[I].MinItem, Active[J].MinItem)};
-        if (Key < Best) {
-          Best = Key;
-          BestI = I;
-          BestJ = J;
-        }
-      }
-
-    Steps.push_back({Best.A, Best.B, Best.Dist});
-    Cluster Combined;
-    Combined.MinItem = Best.A;
-    Combined.Members = std::move(Active[BestI].Members);
-    Combined.Members.insert(Combined.Members.end(),
-                            Active[BestJ].Members.begin(),
-                            Active[BestJ].Members.end());
-    Active.erase(Active.begin() + BestJ);
-    Active.erase(Active.begin() + BestI);
-    Active.push_back(std::move(Combined));
-  }
-  return Steps;
-}
-
 } // namespace
 
-Dendrogram diffcode::cluster::agglomerateDistanceMatrix(
-    std::size_t NumItems, std::vector<double> Matrix,
-    ClusteringOptions::Algorithm Algo) {
+Dendrogram
+diffcode::cluster::agglomerateDistanceMatrix(std::size_t NumItems,
+                                             std::vector<double> Matrix) {
   Dendrogram Tree;
   Tree.NumLeaves = NumItems;
   if (NumItems == 0)
@@ -252,10 +201,7 @@ Dendrogram diffcode::cluster::agglomerateDistanceMatrix(
     return Tree;
   }
 
-  std::vector<MergeStep> Steps =
-      Algo == ClusteringOptions::Algorithm::Naive
-          ? naiveMerges(NumItems, Matrix)
-          : nnChainMerges(NumItems, Matrix);
+  std::vector<MergeStep> Steps = nnChainMerges(NumItems, Matrix);
 
   // Canonical merge order: the greedy reference emits merges with
   // strictly increasing keys, so sorting the chain-discovered merges by
@@ -313,17 +259,6 @@ std::vector<double> diffcode::cluster::pairwiseDistanceMatrix(
   return D;
 }
 
-Dendrogram diffcode::cluster::agglomerativeCluster(
-    std::size_t NumItems,
-    const std::function<double(std::size_t, std::size_t)> &Dist,
-    const ClusteringOptions &Opts) {
-  if (NumItems == 0)
-    return agglomerateDistanceMatrix(0, {}, Opts.Algo);
-  support::ThreadPool Pool(Opts.Threads);
-  return agglomerateDistanceMatrix(
-      NumItems, pairwiseDistanceMatrix(NumItems, Dist, &Pool), Opts.Algo);
-}
-
 Dendrogram diffcode::cluster::clusterUsageChanges(
     const std::vector<usage::UsageChange> &Changes,
     const ClusteringOptions &Opts) {
@@ -331,11 +266,11 @@ Dendrogram diffcode::cluster::clusterUsageChanges(
     return clusterUsageChangesSharded(Changes, Opts);
   std::size_t N = Changes.size();
   if (N == 0)
-    return agglomerateDistanceMatrix(0, {}, Opts.Algo);
+    return agglomerateDistanceMatrix(0, {});
   support::ThreadPool Pool(Opts.Threads);
   UsageDistCache Cache(Changes, &Pool);
   std::vector<double> D = pairwiseDistanceMatrix(
       N, [&Cache](std::size_t I, std::size_t J) { return Cache(I, J); },
       &Pool);
-  return agglomerateDistanceMatrix(N, std::move(D), Opts.Algo);
+  return agglomerateDistanceMatrix(N, std::move(D));
 }

@@ -16,15 +16,11 @@
 /// threshold to obtain flat clusters and rendered as ASCII art for manual
 /// rule elicitation (Figure 8).
 ///
-/// Two agglomeration engines share one canonical tie-breaking rule
-/// (DESIGN.md "Clustering engine") and therefore produce bit-identical
-/// dendrograms:
-///
-///   * NNChain — the nearest-neighbor-chain algorithm, exact for
-///     complete linkage (a reducible dissimilarity), O(n^2) after the
-///     distance matrix;
-///   * Naive — the O(n^3) greedy reference, recomputing linkages from
-///     raw item distances; retained as the differential-testing oracle.
+/// Agglomeration runs the nearest-neighbor-chain algorithm, exact for
+/// complete linkage (a reducible dissimilarity) and O(n^2) after the
+/// distance matrix. A canonical tie-breaking rule (DESIGN.md "Clustering
+/// engine") makes the dendrogram unique; the O(n^3) greedy reference in
+/// tests/oracles checks the engine against it.
 ///
 /// The pairwise distance matrix is computed in parallel blocks over a
 /// support::ThreadPool; results are deterministic for any thread count.
@@ -97,13 +93,6 @@ struct ClusteringOptions {
   /// (support::resolveThreads semantics). The dendrogram is identical
   /// for every value.
   unsigned Threads = 1;
-  /// Agglomeration algorithm; both are exact complete linkage with the
-  /// same canonical tie-breaking, so they differ only in running time.
-  enum class Algorithm {
-    NNChain, ///< O(n^2) production engine.
-    Naive,   ///< O(n^3) reference for differential testing.
-  };
-  Algorithm Algo = Algorithm::NNChain;
   /// Shard-and-merge engine for corpora whose dense matrix would not
   /// fit; clusterUsageChanges dispatches on Sharding.Enabled.
   ShardingOptions Sharding;
@@ -139,8 +128,7 @@ public:
 
 private:
   friend Dendrogram agglomerateDistanceMatrix(std::size_t,
-                                              std::vector<double>,
-                                              ClusteringOptions::Algorithm);
+                                              std::vector<double>);
   /// The sharded engine (cluster/ShardedClustering.cpp) grafts shard
   /// trees and representative-level merges into one node array.
   friend Dendrogram
@@ -166,17 +154,9 @@ std::vector<double> pairwiseDistanceMatrix(
 /// Complete-linkage agglomeration of a precomputed distance matrix
 /// (row-major NumItems^2, consumed). Merge nodes are appended in
 /// ascending canonical merge order, so node creation order equals merge
-/// order for both algorithms.
-Dendrogram agglomerateDistanceMatrix(
-    std::size_t NumItems, std::vector<double> Matrix,
-    ClusteringOptions::Algorithm Algo = ClusteringOptions::Algorithm::NNChain);
-
-/// Clusters \p NumItems items under item distance \p Dist with complete
-/// linkage.
-Dendrogram agglomerativeCluster(
-    std::size_t NumItems,
-    const std::function<double(std::size_t, std::size_t)> &Dist,
-    const ClusteringOptions &Opts = ClusteringOptions());
+/// order; each merge node's Left subtree holds the smaller minimum item.
+Dendrogram agglomerateDistanceMatrix(std::size_t NumItems,
+                                     std::vector<double> Matrix);
 
 /// Convenience wrapper clustering usage changes by usageDist, memoised
 /// through cluster::UsageDistCache. Dispatches to the shard-and-merge

@@ -109,7 +109,7 @@ Dendrogram diffcode::cluster::clusterUsageChangesSharded(
   if (Stats)
     *Stats = ShardingStats();
   if (N == 0)
-    return agglomerateDistanceMatrix(0, {}, Opts.Algo);
+    return agglomerateDistanceMatrix(0, {});
 
   std::vector<std::vector<std::size_t>> Shards =
       partitionIntoShards(Changes, SOpts);
@@ -153,7 +153,7 @@ Dendrogram diffcode::cluster::clusterUsageChangesSharded(
           [&Cache](std::size_t I, std::size_t J) { return Cache(I, J); },
           nullptr);
       Results[Si].Tree =
-          agglomerateDistanceMatrix(Items.size(), std::move(D), Opts.Algo);
+          agglomerateDistanceMatrix(Items.size(), std::move(D));
       TrackFree(Bytes);
 
       // Elect representatives: the minimum global item of each flat
@@ -261,8 +261,7 @@ Dendrogram diffcode::cluster::clusterUsageChangesSharded(
       ShardD[A * S + B] = ShardD[B * S + A] = Linkage;
     }
   RepD = std::vector<double>();
-  Dendrogram MergeTree =
-      agglomerateDistanceMatrix(S, std::move(ShardD), Opts.Algo);
+  Dendrogram MergeTree = agglomerateDistanceMatrix(S, std::move(ShardD));
   TrackFree(MergeBytes);
 
   // Replay the shard-level merges over the grafted subtrees. Estimated

@@ -79,9 +79,6 @@ void core::computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders) {
   Report.Health = Health;
 }
 
-DiffCode::DiffCode(const apimodel::CryptoApiModel &Api)
-    : DiffCode(Api, PipelineConfig()) {}
-
 DiffCode::DiffCode(const apimodel::CryptoApiModel &Api, PipelineConfig Config)
     : Api(Api), Config(Config),
       DefaultLabels(std::make_shared<support::Interner>()) {}
@@ -151,37 +148,6 @@ DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
   return Dags;
 }
 
-std::vector<usage::UsageChange>
-DiffCode::usageChangesFor(const corpus::CodeChange &Change,
-                          const std::string &TargetClass) const {
-  java::AstContext Ctx; // shared across both versions (reset in between)
-  analysis::AnalysisResult OldResult =
-      analyzeSourceChecked(Change.OldCode, Ctx).Result;
-  analysis::AnalysisResult NewResult =
-      analyzeSourceChecked(Change.NewCode, Ctx).Result;
-  std::vector<usage::UsageChange> Changes = usage::deriveUsageChanges(
-      dagsForClass(OldResult, TargetClass), dagsForClass(NewResult, TargetClass),
-      TargetClass, *DefaultLabels);
-  for (usage::UsageChange &C : Changes)
-    C.Origin = Change.origin();
-  return Changes;
-}
-
-ChangeRecord DiffCode::processChange(
-    const corpus::CodeChange &Change,
-    const std::vector<std::string> &TargetClasses,
-    const std::vector<const rules::Rule *> &ClassifyWith) const {
-  return processChange(Change, TargetClasses, ClassifyWith, *DefaultLabels);
-}
-
-ChangeRecord DiffCode::processChange(
-    const corpus::CodeChange &Change,
-    const std::vector<std::string> &TargetClasses,
-    const std::vector<const rules::Rule *> &ClassifyWith,
-    support::Interner &Table) const {
-  return processChange(Change, TargetClasses, ClassifyWith, Table, nullptr);
-}
-
 ChangeRecord DiffCode::processChange(
     const corpus::CodeChange &Change,
     const std::vector<std::string> &TargetClasses,
@@ -243,19 +209,18 @@ ChangeRecord DiffCode::processChange(
             R->Id, rules::classifyChange(*R, OldFacts, NewFacts));
     }
   } catch (const std::exception &E) {
+    Record.StatusDetail = E.what();
+    Record.Status = ChangeStatus::AnalysisThrow;
+  } catch (...) {
+    Record.StatusDetail = "unknown exception";
+    Record.Status = ChangeStatus::AnalysisThrow;
+  }
+  if (Record.Status == ChangeStatus::AnalysisThrow) {
     // Containment: this change contributes nothing, but its slot in the
     // report survives with a structured status — the rest of the corpus
     // is unaffected.
     Record.PerClass.clear();
     Record.Classification.clear();
-    Record.Status = ChangeStatus::AnalysisThrow;
-    Record.StatusDetail = E.what();
-    Record.StepsUsed = 0;
-  } catch (...) {
-    Record.PerClass.clear();
-    Record.Classification.clear();
-    Record.Status = ChangeStatus::AnalysisThrow;
-    Record.StatusDetail = "unknown exception";
     Record.StepsUsed = 0;
   }
   return Record;
@@ -285,21 +250,16 @@ DiffCode::analyzeChanges(const PipelineRequest &Request) const {
           // Scope key = change index, so an armed fault plan hits the
           // same changes whether one thread or sixteen claim the work.
           support::FaultScope Scope(&Config.Faults, I);
-          if (!Obs) {
-            Records[I] = processChange(*Request.Changes[I],
-                                       Request.TargetClasses,
-                                       Request.ClassifyWith, Table);
-            continue;
-          }
-          obs::Span S(&Obs->Trace, "processChange");
+          obs::Span S(Obs ? &Obs->Trace : nullptr, "processChange");
           auto T0 = std::chrono::steady_clock::now();
           Records[I] = processChange(*Request.Changes[I],
                                      Request.TargetClasses,
                                      Request.ClassifyWith, Table, Reg);
-          Records[I].WallNanos = std::uint64_t(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - T0)
-                  .count());
+          if (Obs)
+            Records[I].WallNanos = std::uint64_t(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - T0)
+                    .count());
         }
       });
   if (Obs) {
@@ -350,7 +310,8 @@ void DiffCode::clusterClass(ClassReport &Class) const {
   for (char C : Class.TargetClass)
     ClassKey = (ClassKey ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
   support::FaultScope Scope(&Config.Faults, ClassKey);
-  cluster::ClusteringOptions Engine = Config.clusteringOptions();
+  cluster::ClusteringOptions Engine{.Threads = Config.Clustering.Threads,
+                                    .Sharding = Config.Sharding};
   try {
     if (Engine.Sharding.Enabled)
       Class.Tree = cluster::clusterUsageChangesSharded(
@@ -393,22 +354,6 @@ static void recordClassMetrics(obs::Registry &R, const ClassReport &Class) {
 }
 
 CorpusReport DiffCode::run(const PipelineRequest &Request) const {
-  PipelineRequest Effective = Request;
-  if (Effective.Exec == ExecutionPolicy())
-    Effective.Exec = Config.Exec;
-  if (!Effective.Metrics)
-    Effective.Metrics = Config.Metrics;
-  if (Effective.Exec.Mode == ExecutionMode::Supervised)
-    return runPipelineFrom(Effective, [&, this] {
-      return exec::superviseChanges(*this, Effective);
-    });
-  return runPipelineFrom(Effective,
-                         [&, this] { return analyzeChanges(Effective); });
-}
-
-CorpusReport DiffCode::runPipelineFrom(
-    const PipelineRequest &Request,
-    const std::function<std::vector<ChangeRecord>()> &Analyze) const {
   CorpusReport Report;
   Report.Labels = Request.Labels ? Request.Labels : DefaultLabels;
   obs::Observer *Obs = Request.Metrics;
@@ -417,7 +362,9 @@ CorpusReport DiffCode::runPipelineFrom(
     obs::Span Whole(T, "pipeline");
     {
       obs::Span S(T, "analyzeChanges");
-      Report.Changes = Analyze();
+      Report.Changes = Request.Exec.Mode == ExecutionMode::Supervised
+                           ? exec::superviseChanges(*this, Request)
+                           : analyzeChanges(Request);
     }
     for (const std::string &TargetClass : Request.TargetClasses) {
       ClassReport ClassOut;

@@ -29,7 +29,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,18 +73,11 @@ struct ExecutionPolicy {
   /// RLIMIT_AS for each worker in MiB (0 = unlimited). A worker that
   /// cannot allocate takes a distinguished exit, reported as WorkerOom.
   std::uint64_t WorkerMemoryLimitMb = 0;
-
-  /// Field-wise equality. DiffCode::run uses it to recognize a
-  /// default-constructed request policy and fall back to
-  /// PipelineConfig::Exec.
-  friend bool operator==(const ExecutionPolicy &,
-                         const ExecutionPolicy &) = default;
 };
 
-/// The system's one documented knob surface, replacing the ad-hoc
-/// option clusters that accumulated across PRs 1-7. Six
-/// groups — threads, limits, clustering, sharding, exec, metrics — plus
-/// the fault-injection campaign, all designed for designated-initializer
+/// The system's knob surface for what a DiffCode instance computes. Four
+/// groups — threads, limits, clustering, sharding — plus the
+/// fault-injection campaign, all designed for designated-initializer
 /// construction:
 ///
 ///   core::DiffCode System(Api, {.Threads = 8,
@@ -95,7 +87,9 @@ struct ExecutionPolicy {
 /// Every thread knob shares support::resolveThreads semantics (0 = one
 /// per hardware thread), and no knob changes report bytes except through
 /// its documented effect (sharding estimates cross-shard linkage; the
-/// cut threshold moves flat-cluster boundaries).
+/// cut threshold moves flat-cluster boundaries). How one run executes —
+/// in process or supervised, observed or not — is set on the
+/// PipelineRequest, and only there.
 struct PipelineConfig {
   /// -- threads: worker threads for the per-change analysis stage (each
   /// change is independent: parse + analyze + diff). Results are
@@ -113,14 +107,11 @@ struct PipelineConfig {
   };
   LimitsGroup Limits;
 
-  /// -- clustering: the agglomeration engine. Algorithm choice (NNChain
-  /// by default; the naive reference is retained for differential
-  /// testing) and matrix threads never change the dendrogram; Cut is the
-  /// threshold for flat clusters (manual-inspection aid).
+  /// -- clustering: the agglomeration engine. Matrix threads never
+  /// change the dendrogram; Cut is the threshold for flat clusters
+  /// (manual-inspection aid).
   struct ClusteringGroup {
     double Cut = 0.4;
-    cluster::ClusteringOptions::Algorithm Algo =
-        cluster::ClusteringOptions::Algorithm::NNChain;
     /// Threads for the pairwise distance matrix and cache warm-up.
     unsigned Threads = 1;
   };
@@ -130,30 +121,11 @@ struct PipelineConfig {
   /// matrix would not fit; clustering dispatches on Sharding.Enabled.
   cluster::ShardingOptions Sharding;
 
-  /// -- exec: the execution policy run() falls back to when the request
-  /// leaves its own policy default-constructed.
-  ExecutionPolicy Exec;
-
-  /// -- metrics: the observability sink run() falls back to when the
-  /// request does not carry one. Null keeps instrumentation off (every
-  /// site reduces to one pointer test). Must outlive the DiffCode.
-  obs::Observer *Metrics = nullptr;
-
   /// Fault-injection campaign (testing only; disabled by default). When
   /// armed, every per-change worker and the per-class clustering step run
   /// under a deterministic FaultScope, so injected failures land on the
   /// same changes at any thread count.
   support::FaultPlan Faults;
-
-  /// The clustering-engine view of this config (Clustering + Sharding
-  /// folded back into the cluster layer's option struct).
-  cluster::ClusteringOptions clusteringOptions() const {
-    cluster::ClusteringOptions Out;
-    Out.Threads = Clustering.Threads;
-    Out.Algo = Clustering.Algo;
-    Out.Sharding = Sharding;
-    return Out;
-  }
 };
 
 /// Outcome taxonomy for one processed code change. Ordered by severity:
@@ -296,9 +268,7 @@ struct PipelineRequest {
   /// call.
   obs::Observer *Metrics = nullptr;
   /// Execution mode + supervision knobs. DiffCode::run dispatches on
-  /// Exec.Mode (a default-constructed policy falls back to
-  /// PipelineConfig::Exec first); the stage entry points and
-  /// runPipelineFrom ignore it.
+  /// Exec.Mode; the stage entry points ignore it.
   ExecutionPolicy Exec;
 };
 
@@ -310,8 +280,8 @@ void computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders = 5);
 /// The system facade.
 class DiffCode {
 public:
-  explicit DiffCode(const apimodel::CryptoApiModel &Api);
-  DiffCode(const apimodel::CryptoApiModel &Api, PipelineConfig Config);
+  explicit DiffCode(const apimodel::CryptoApiModel &Api,
+                    PipelineConfig Config = PipelineConfig());
 
   const PipelineConfig &config() const { return Config; }
 
@@ -350,36 +320,21 @@ public:
     return DefaultLabels;
   }
 
-  /// Usage changes of one code change for one target class, interned in
-  /// labels().
-  std::vector<usage::UsageChange>
-  usageChangesFor(const corpus::CodeChange &Change,
-                  const std::string &TargetClass) const;
-
-  /// Processes one code change end to end for all \p TargetClasses,
-  /// classifying it under \p ClassifyWith (may be empty); feature paths
-  /// intern into \p Table (the labels() interner for the parameterless
-  /// form). Never throws: any escaping exception is contained into an
-  /// empty record with Status == AnalysisThrow, so one poisoned change
-  /// cannot take down a corpus run.
-  ChangeRecord
-  processChange(const corpus::CodeChange &Change,
-                const std::vector<std::string> &TargetClasses,
-                const std::vector<const rules::Rule *> &ClassifyWith) const;
+  /// The one per-change entry point (Section 5): parses and analyzes
+  /// both versions of \p Change, then builds and diffs the usage DAGs of
+  /// every class in \p TargetClasses and classifies the change under
+  /// \p ClassifyWith (may be empty). Feature paths intern into \p Table
+  /// (pass *labels() for the instance interner). When \p Reg is set it
+  /// also records per-version interpreter metrics (steps/entries/objects
+  /// histograms, budget-hit counters) and usage-change counts there.
+  /// Never throws: any escaping exception is contained into an empty
+  /// record with Status == AnalysisThrow, so one poisoned change cannot
+  /// take down a corpus run.
   ChangeRecord
   processChange(const corpus::CodeChange &Change,
                 const std::vector<std::string> &TargetClasses,
                 const std::vector<const rules::Rule *> &ClassifyWith,
-                support::Interner &Table) const;
-  /// Observed variant: additionally records per-version interpreter
-  /// metrics (steps/entries/objects histograms, budget-hit counters) and
-  /// usage-change counts into \p Reg. Null \p Reg behaves exactly like
-  /// the unobserved overload.
-  ChangeRecord
-  processChange(const corpus::CodeChange &Change,
-                const std::vector<std::string> &TargetClasses,
-                const std::vector<const rules::Rule *> &ClassifyWith,
-                support::Interner &Table, obs::Registry *Reg) const;
+                support::Interner &Table, obs::Registry *Reg = nullptr) const;
 
   //===--------------------------------------------------------------------===//
   // Stage entry points. run() composes exactly these three, so
@@ -406,29 +361,16 @@ public:
   /// empties the Tree and sets Class.ClusteringError instead of throwing.
   void clusterClass(ClassReport &Class) const;
 
-  /// The one pipeline entry point: dispatches on Request.Exec.Mode
-  /// (falling back to config().Exec when the request's policy is
-  /// default-constructed, and to config().Metrics when the request
-  /// carries no observer), then runs analyzeChanges — in this process or
-  /// under the exec/Supervisor worker pool — followed per target class by
-  /// filterClass and (when Request.BuildDendrograms) clusterClass, then
-  /// the corpus-health rollup. Per-change failures are contained in the
+  /// The one pipeline entry point: takes the per-change records from
+  /// analyzeChanges, or from the exec/Supervisor worker pool when
+  /// Request.Exec.Mode is Supervised, then runs filterClass and (when
+  /// Request.BuildDendrograms) clusterClass per target class, then the
+  /// corpus-health rollup. Per-change failures are contained in the
   /// corresponding ChangeRecord and tallied in the report's Health
   /// summary; a clustering failure empties that class's Tree and sets
   /// ClusteringError. Both execution modes produce byte-identical
   /// reports.
   CorpusReport run(const PipelineRequest &Request) const;
-
-  /// run with the per-change analysis stage swapped out: \p Analyze
-  /// produces the record vector (one per Request.Changes entry, input
-  /// order) and everything downstream — filters, clustering, health,
-  /// metrics rollup — is byte-identical to an in-process run over the
-  /// same records. This is the internal seam the supervised engine
-  /// (exec/Supervisor) and the incremental session
-  /// (service/AnalysisSession) plug into.
-  CorpusReport runPipelineFrom(
-      const PipelineRequest &Request,
-      const std::function<std::vector<ChangeRecord>()> &Analyze) const;
 
 private:
   /// Request.Labels when set, the instance interner otherwise.

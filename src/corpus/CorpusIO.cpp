@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -41,10 +42,6 @@ bool writeFile(const fs::path &Path, const std::string &Content,
   if (Out.fail())
     return fail(Error, "short write to " + Path.string());
   return true;
-}
-
-std::optional<std::string> readFile(const fs::path &Path) {
-  return readFileContents(Path.string());
 }
 
 std::string metaToText(const rules::ProjectMetadata &Meta) {
@@ -83,7 +80,7 @@ std::string commitDirName(unsigned Index) {
 
 /// Chunked fallback for sources mmap cannot serve: reads to EOF,
 /// retrying short reads (a pipe writer filling in bursts must not look
-/// like a smaller file). nullopt on a read error.
+/// like a smaller file). nullopt on a read error, with errno set.
 std::optional<std::string> readStreaming(int Fd) {
   std::string Out;
   char Buf[1 << 16];
@@ -100,15 +97,18 @@ std::optional<std::string> readStreaming(int Fd) {
   }
 }
 
-} // namespace
-
-std::optional<std::string>
-diffcode::corpus::readFileContents(const std::string &Path) {
+/// readFileContents, additionally reporting why a read failed: \p Err
+/// receives the errno of the failing call (EISDIR for a directory).
+std::optional<std::string> readContents(const std::string &Path, int &Err) {
   int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (Fd < 0)
+  if (Fd < 0) {
+    Err = errno;
     return std::nullopt;
+  }
   struct stat St;
-  if (::fstat(Fd, &St) != 0 || S_ISDIR(St.st_mode)) {
+  int StatRc = ::fstat(Fd, &St);
+  if (StatRc != 0 || S_ISDIR(St.st_mode)) {
+    Err = StatRc != 0 ? errno : EISDIR;
     ::close(Fd);
     return std::nullopt;
   }
@@ -131,8 +131,60 @@ diffcode::corpus::readFileContents(const std::string &Path) {
     // style) have no mappable extent; stream them to EOF instead.
     Out = readStreaming(Fd);
   }
+  if (!Out)
+    Err = errno;
   ::close(Fd);
   return Out;
+}
+
+/// Reads the optional corpus file \p Path into \p Out (nullopt when
+/// absent). A file that exists but cannot be read — a symlink loop, a
+/// directory in its place — fails naming the path, never loads empty.
+bool readOptional(const fs::path &Path, std::optional<std::string> &Out,
+                  std::string *Error) {
+  int Err = 0;
+  Out = readContents(Path.string(), Err);
+  if (Out || Err == ENOENT)
+    return true;
+  return fail(Error, "cannot read " + Path.string() + ": " +
+                         std::strerror(Err));
+}
+
+/// Fills \p Out, sorted, with the subdirectories (or regular files) of
+/// \p Dir; an absent \p Optional one lists nothing. An entry that cannot
+/// be resolved (a symlink loop) fails naming it; a dangling symlink is
+/// skipped like an absent file. The error_code overloads add no syscall:
+/// entry types come from the directory read except for symlinks.
+bool listEntries(const fs::path &Dir, bool Directories, bool Optional,
+                 std::vector<fs::path> &Out, std::string *Error) {
+  const std::errc Absent = std::errc::no_such_file_or_directory;
+  std::error_code EC;
+  if (Optional && !fs::is_directory(Dir, EC))
+    return !EC || EC == Absent ||
+           fail(Error, "cannot open " + Dir.string() + ": " + EC.message());
+  fs::directory_iterator It(Dir, EC), End;
+  for (; !EC && It != End; It.increment(EC)) {
+    std::error_code TypeEC;
+    bool Match = Directories ? It->is_directory(TypeEC)
+                             : It->is_regular_file(TypeEC);
+    if (TypeEC && TypeEC != Absent)
+      return fail(Error, "cannot resolve " + It->path().string() + ": " +
+                             TypeEC.message());
+    if (Match)
+      Out.push_back(It->path());
+  }
+  if (EC)
+    return fail(Error, "cannot list " + Dir.string() + ": " + EC.message());
+  std::sort(Out.begin(), Out.end());
+  return true;
+}
+
+} // namespace
+
+std::optional<std::string>
+diffcode::corpus::readFileContents(const std::string &Path) {
+  int Err = 0;
+  return readContents(Path, Err);
 }
 
 bool diffcode::corpus::writeCorpus(const Corpus &C, const std::string &RootDir,
@@ -171,60 +223,53 @@ bool diffcode::corpus::writeCorpus(const Corpus &C, const std::string &RootDir,
 
 std::optional<Corpus> diffcode::corpus::readCorpus(const std::string &RootDir,
                                                    std::string *Error) {
-  if (!fs::is_directory(RootDir)) {
-    fail(Error, RootDir + " is not a directory");
-    return std::nullopt;
-  }
-
   Corpus C;
   std::vector<fs::path> ProjectDirs;
-  for (const fs::directory_entry &Entry : fs::directory_iterator(RootDir))
-    if (Entry.is_directory())
-      ProjectDirs.push_back(Entry.path());
-  std::sort(ProjectDirs.begin(), ProjectDirs.end());
+  if (!listEntries(RootDir, /*Directories=*/true, /*Optional=*/false,
+                   ProjectDirs, Error))
+    return std::nullopt;
 
+  std::optional<std::string> Text;
   for (const fs::path &ProjectDir : ProjectDirs) {
     Project P;
     P.Name = ProjectDir.filename().string();
-    if (auto Meta = readFile(ProjectDir / "project.meta"))
-      P.Meta = metaFromText(*Meta);
+    if (!readOptional(ProjectDir / "project.meta", Text, Error))
+      return std::nullopt;
+    P.Meta = metaFromText(Text.value_or(""));
 
-    if (fs::is_directory(ProjectDir / "head")) {
-      std::vector<fs::path> Heads;
-      for (const fs::directory_entry &Entry :
-           fs::directory_iterator(ProjectDir / "head"))
-        if (Entry.is_regular_file())
-          Heads.push_back(Entry.path());
-      std::sort(Heads.begin(), Heads.end());
-      for (const fs::path &Head : Heads)
-        if (auto Code = readFile(Head))
-          P.Files.push_back({Head.filename().string(), std::move(*Code)});
+    std::vector<fs::path> Heads;
+    if (!listEntries(ProjectDir / "head", /*Directories=*/false,
+                     /*Optional=*/true, Heads, Error))
+      return std::nullopt;
+    for (const fs::path &Head : Heads) {
+      if (!readOptional(Head, Text, Error))
+        return std::nullopt;
+      if (Text)
+        P.Files.push_back({Head.filename().string(), std::move(*Text)});
     }
 
-    if (fs::is_directory(ProjectDir / "commits")) {
-      std::vector<fs::path> CommitDirs;
-      for (const fs::directory_entry &Entry :
-           fs::directory_iterator(ProjectDir / "commits"))
-        if (Entry.is_directory())
-          CommitDirs.push_back(Entry.path());
-      std::sort(CommitDirs.begin(), CommitDirs.end());
-      for (const fs::path &CommitDir : CommitDirs) {
-        CodeChange Change;
-        Change.ProjectName = P.Name;
-        std::string Name = CommitDir.filename().string();
-        if (Name.size() > 1 && Name[0] == 'c')
-          Change.CommitIndex =
-              static_cast<unsigned>(std::atoi(Name.c_str() + 1));
-        if (auto Kind = readFile(CommitDir / "kind.txt"))
-          Change.Kind = std::string(trim(*Kind));
-        if (auto File = readFile(CommitDir / "file.txt"))
-          Change.FileName = std::string(trim(*File));
-        if (auto Old = readFile(CommitDir / "old.java"))
-          Change.OldCode = std::move(*Old);
-        if (auto New = readFile(CommitDir / "new.java"))
-          Change.NewCode = std::move(*New);
-        P.History.push_back(std::move(Change));
-      }
+    std::vector<fs::path> CommitDirs;
+    if (!listEntries(ProjectDir / "commits", /*Directories=*/true,
+                     /*Optional=*/true, CommitDirs, Error))
+      return std::nullopt;
+    for (const fs::path &CommitDir : CommitDirs) {
+      CodeChange Change;
+      Change.ProjectName = P.Name;
+      std::string Name = CommitDir.filename().string();
+      if (Name.size() > 1 && Name[0] == 'c')
+        Change.CommitIndex =
+            static_cast<unsigned>(std::atoi(Name.c_str() + 1));
+      std::optional<std::string> Kind, File, Old, New;
+      if (!readOptional(CommitDir / "kind.txt", Kind, Error) ||
+          !readOptional(CommitDir / "file.txt", File, Error) ||
+          !readOptional(CommitDir / "old.java", Old, Error) ||
+          !readOptional(CommitDir / "new.java", New, Error))
+        return std::nullopt;
+      Change.Kind = std::string(trim(Kind.value_or("")));
+      Change.FileName = std::string(trim(File.value_or("")));
+      Change.OldCode = std::move(Old).value_or("");
+      Change.NewCode = std::move(New).value_or("");
+      P.History.push_back(std::move(Change));
     }
     C.Projects.push_back(std::move(P));
   }

@@ -40,6 +40,9 @@ bool writeCorpus(const Corpus &C, const std::string &RootDir,
 
 /// Loads a corpus from \p RootDir; nullopt (with \p Error) on failure.
 /// Unknown files are ignored; missing optional pieces default sensibly.
+/// A piece that exists but cannot be read or resolved — a symlink loop,
+/// a directory where a file belongs — is a failure naming its path,
+/// never a silently empty file or a partial corpus.
 /// Every file goes through readFileContents, so a batch ingest maps
 /// sources straight from the page cache instead of double-buffering
 /// through stream internals.

@@ -30,7 +30,7 @@
 /// the exact same processChange under the exact same per-change fault
 /// scope, (b) the wire codec carries every record field that reaches the
 /// report, and (c) the downstream pipeline is literally the same code
-/// (DiffCode::runPipelineFrom). Interner id values differ across
+/// (the rest of DiffCode::run). Interner id values differ across
 /// processes, but no consumer depends on id values — only equality
 /// (support/Interner.h determinism contract).
 ///
@@ -85,7 +85,7 @@ struct SupervisionStats {
 /// deadline, retry budget, memory limit) and the system's fault plan
 /// (both the in-process sites — they fire inside workers exactly as they
 /// would in-process — and the Proc* chaos sites). This is the analysis
-/// stage core::DiffCode::run plugs into runPipelineFrom when
+/// stage core::DiffCode::run takes its records from when
 /// Request.Exec.Mode is Supervised; exposed separately for the
 /// differential and chaos tests (the former exec::runPipeline dispatcher
 /// is gone — run() is the one entry point).

@@ -5,8 +5,8 @@
 // SWAR fast path (eight bytes per step); escape-free strings and both
 // comment forms scan with memchr. Observable behavior — token kinds,
 // spellings, locations, diagnostics — is byte-identical to the retained
-// per-character ReferenceLexer (enforced by test_frontend_equivalence and
-// test_lexer_fuzz).
+// per-character seed scanner in tests/oracles (enforced by
+// test_frontend_equivalence and test_lexer_fuzz).
 //
 //===----------------------------------------------------------------------===//
 

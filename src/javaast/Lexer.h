@@ -15,7 +15,7 @@
 /// escape-free string literals in a single pass that views straight into
 /// the source buffer. Line/column information comes from a line-offset
 /// table computed once per buffer, not from per-character counters.
-/// ReferenceLexer.h retains the original per-character scanner as the
+/// tests/oracles retains the original per-character scanner as the
 /// differential-testing oracle; tests/test_frontend_equivalence.cpp proves
 /// the two produce byte-identical token streams and diagnostics.
 ///

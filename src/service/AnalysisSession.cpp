@@ -395,8 +395,7 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   support::FaultScope Scope(&Opts.Config.Faults,
                             classScopeKey(Class.TargetClass));
   try {
-    Class.Tree = cluster::agglomerateDistanceMatrix(
-        N, std::move(Matrix), Opts.Config.Clustering.Algo);
+    Class.Tree = cluster::agglomerateDistanceMatrix(N, std::move(Matrix));
   } catch (const std::exception &E) {
     Class.Tree = cluster::Dendrogram();
     Class.Sharding = cluster::ShardingStats();

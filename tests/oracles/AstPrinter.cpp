@@ -1,6 +1,6 @@
-//===- javaast/AstPrinter.cpp ----------------------------------------------===//
+//===- oracles/AstPrinter.cpp ----------------------------------------------===//
 
-#include "javaast/AstPrinter.h"
+#include "oracles/AstPrinter.h"
 
 #include "support/Casting.h"
 

@@ -1,4 +1,4 @@
-//===- javaast/AstPrinter.h - Java source re-emission ----------------------===//
+//===- oracles/AstPrinter.h - Java source re-emission ----------------------===//
 //
 // Part of the DiffCode project, a reproduction of "Inferring Crypto API
 // Rules from Code Changes" (PLDI'18).
@@ -7,13 +7,14 @@
 ///
 /// \file
 /// Pretty printer that renders the AST back to compilable Java-subset
-/// source. Used by the corpus generator (to materialize program versions)
-/// and by round-trip property tests: print(parse(print(T))) == print(T).
+/// source. A test oracle: the round-trip property tests check
+/// print(parse(print(T))) == print(T), and the front-end differential
+/// compares printed trees from the production and reference lexers.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DIFFCODE_JAVAAST_ASTPRINTER_H
-#define DIFFCODE_JAVAAST_ASTPRINTER_H
+#ifndef DIFFCODE_ORACLES_ASTPRINTER_H
+#define DIFFCODE_ORACLES_ASTPRINTER_H
 
 #include "javaast/Ast.h"
 
@@ -52,4 +53,4 @@ private:
 } // namespace java
 } // namespace diffcode
 
-#endif // DIFFCODE_JAVAAST_ASTPRINTER_H
+#endif // DIFFCODE_ORACLES_ASTPRINTER_H

@@ -1,4 +1,4 @@
-//===- javaast/ReferenceLexer.cpp ------------------------------------------===//
+//===- oracles/ReferenceLexer.cpp ------------------------------------------===//
 //
 // Seed lexer retained as the differential oracle. The scanning logic is
 // the original implementation, unchanged; only makeToken differs (it
@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "javaast/ReferenceLexer.h"
+#include "oracles/ReferenceLexer.h"
 
 #include <cctype>
 #include <unordered_map>

@@ -1,4 +1,4 @@
-//===- javaast/ReferenceLexer.h - Retained seed lexer (oracle) -------------===//
+//===- oracles/ReferenceLexer.h - Retained seed lexer (oracle) -------------===//
 //
 // Part of the DiffCode project, a reproduction of "Inferring Crypto API
 // Rules from Code Changes" (PLDI'18).
@@ -8,12 +8,13 @@
 /// \file
 /// The pre-rewrite per-character lexer, retained verbatim as the
 /// differential-testing oracle and the benchmark baseline for the
-/// table-driven scanner in Lexer.h. It keeps the original implementation
-/// strategy — per-character advance() with inline line/column counters,
-/// <cctype> classification, a std::string built for every token, and a
-/// hash-map keyword table — and only adapts the output type: spellings
-/// are interned into the TokenStream arena so both lexers produce the
-/// same Token/TokenStream shape and can be compared byte for byte.
+/// table-driven scanner in javaast/Lexer.h. It keeps the original
+/// implementation strategy — per-character advance() with inline
+/// line/column counters, <cctype> classification, a std::string built
+/// for every token, and a hash-map keyword table — and only adapts the
+/// output type: spellings are interned into the TokenStream arena so
+/// both lexers produce the same Token/TokenStream shape and can be
+/// compared byte for byte.
 ///
 /// Do not optimize this file; its value is being the unchanged seed
 /// semantics. tests/test_frontend_equivalence.cpp and
@@ -22,8 +23,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef DIFFCODE_JAVAAST_REFERENCELEXER_H
-#define DIFFCODE_JAVAAST_REFERENCELEXER_H
+#ifndef DIFFCODE_ORACLES_REFERENCELEXER_H
+#define DIFFCODE_ORACLES_REFERENCELEXER_H
 
 #include "javaast/Diagnostics.h"
 #include "javaast/Lexer.h"
@@ -80,4 +81,4 @@ TokenKind referenceLookupKeyword(std::string_view Spelling);
 } // namespace java
 } // namespace diffcode
 
-#endif // DIFFCODE_JAVAAST_REFERENCELEXER_H
+#endif // DIFFCODE_ORACLES_REFERENCELEXER_H

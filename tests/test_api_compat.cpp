@@ -15,6 +15,13 @@
 /// exist (someone re-adding one breaks the build here first) and that
 /// the replacement surface stands.
 ///
+/// The same gate holds the "one path per job" collapse: processChange is
+/// the one per-change entry point (no usageChangesFor, no overload
+/// without an interner), run() is the one pipeline entry point (no
+/// runPipelineFrom seam), the execution policy and observer are set on
+/// the PipelineRequest only, and NN-chain is the only clustering engine
+/// (no algorithm knob).
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/DiffCode.h"
@@ -25,6 +32,7 @@
 
 #include <string>
 #include <type_traits>
+#include <vector>
 
 using namespace diffcode;
 using namespace diffcode::core;
@@ -43,6 +51,47 @@ concept HasOptionsAccessor = requires(const System &S) { S.options(); };
 template <typename System>
 concept HasRunPipeline =
     requires(const System &S, const PipelineRequest &R) { S.runPipeline(R); };
+
+template <typename System>
+concept HasUsageChangesFor =
+    requires(const System &S, const corpus::CodeChange &C) {
+      S.usageChangesFor(C, std::string("Cipher"));
+    };
+
+template <typename System>
+concept HasRunPipelineFrom =
+    requires(const System &S, const PipelineRequest &R) {
+      S.runPipelineFrom(R, [] { return std::vector<ChangeRecord>(); });
+    };
+
+template <typename System>
+concept HasProcessChangeWithoutInterner =
+    requires(const System &S, const corpus::CodeChange &C,
+             const std::vector<std::string> &Classes) {
+      S.processChange(C, Classes, {});
+    };
+
+template <typename System>
+concept HasProcessChangeWithInterner =
+    requires(const System &S, const corpus::CodeChange &C,
+             const std::vector<std::string> &Classes,
+             support::Interner &Table) {
+      S.processChange(C, Classes, {}, Table);
+    };
+
+// Naming the member without arguments only resolves when it is not
+// overloaded.
+template <typename System>
+concept HasSingleProcessChange = requires { &System::processChange; };
+
+template <typename Config>
+concept HasExec = requires(Config &C) { C.Exec; };
+
+template <typename Config>
+concept HasMetrics = requires(Config &C) { C.Metrics; };
+
+template <typename Options>
+concept HasAlgo = requires(Options &O) { O.Algo; };
 
 } // namespace
 
@@ -69,6 +118,29 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
   static_assert(diffcode::core::DiffCodeOptions::IsRemovalSentinel,
                 "core::DiffCodeOptions was removed in PR 9; construct from "
                 "core::PipelineConfig");
+
+  static_assert(!HasUsageChangesFor<DiffCode>,
+                "DiffCode::usageChangesFor() is gone; use "
+                "processChange(...).PerClass");
+  static_assert(!HasRunPipelineFrom<DiffCode>,
+                "DiffCode::runPipelineFrom() is gone; run() is the one "
+                "pipeline entry point");
+  static_assert(!HasProcessChangeWithoutInterner<DiffCode>,
+                "processChange takes the interner explicitly; pass "
+                "*System.labels()");
+  static_assert(HasProcessChangeWithInterner<DiffCode>,
+                "processChange(Change, Classes, {}, Table) must stay "
+                "callable");
+  static_assert(HasSingleProcessChange<DiffCode>,
+                "DiffCode declares exactly one processChange");
+  static_assert(!HasExec<PipelineConfig> && HasExec<PipelineRequest>,
+                "the execution policy is set on PipelineRequest only");
+  static_assert(!HasMetrics<PipelineConfig> && HasMetrics<PipelineRequest>,
+                "the observer is set on PipelineRequest only");
+  static_assert(!HasAlgo<cluster::ClusteringOptions> &&
+                    !HasAlgo<PipelineConfig::ClusteringGroup>,
+                "NN-chain is the only clustering engine; the naive "
+                "reference lives in tests/oracles");
   SUCCEED();
 }
 

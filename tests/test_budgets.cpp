@@ -11,7 +11,7 @@
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
+#include "oracles/ReferenceLexer.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>

@@ -18,10 +18,11 @@ namespace {
 
 /// Points on a line; distance = |a - b| / 100 to stay within [0,1].
 Dendrogram clusterPoints(const std::vector<double> &Points) {
-  return agglomerativeCluster(Points.size(),
-                              [&](std::size_t I, std::size_t J) {
-                                return std::abs(Points[I] - Points[J]) / 100.0;
-                              });
+  return agglomerateDistanceMatrix(
+      Points.size(),
+      pairwiseDistanceMatrix(Points.size(), [&](std::size_t I, std::size_t J) {
+        return std::abs(Points[I] - Points[J]) / 100.0;
+      }));
 }
 
 std::set<std::set<std::size_t>>
@@ -35,9 +36,7 @@ asSets(const std::vector<std::vector<std::size_t>> &Clusters) {
 } // namespace
 
 TEST(Clustering, EmptyInput) {
-  Dendrogram Tree = agglomerativeCluster(0, [](std::size_t, std::size_t) {
-    return 0.0;
-  });
+  Dendrogram Tree = agglomerateDistanceMatrix(0, {});
   EXPECT_TRUE(Tree.empty());
   EXPECT_TRUE(Tree.cut(0.5).empty());
 }

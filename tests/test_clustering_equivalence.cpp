@@ -1,13 +1,14 @@
 //===- tests/test_clustering_equivalence.cpp - NN-chain vs naive oracle ----===//
 //
 // Differential harness for the clustering engine: the production
-// nearest-neighbor-chain agglomeration must produce bit-identical
-// dendrograms to the retained O(n^3) naive reference — same node array,
-// same merge heights, same flat clusters at every cut — on seeded random
-// usage-change corpora and on tie-heavy synthetic metrics. Ties are the
-// hard part: usageDist values like 0.0, 0.5, and 1.0 recur constantly,
-// and complete linkage is only unique once the canonical tie-breaking
-// order fixes it.
+// nearest-neighbor-chain dendrogram must encode exactly the merges of the
+// O(n^3) naive reference in tests/oracles — same merged representatives,
+// in the same order, at bit-identical heights — on seeded random
+// usage-change corpora and on tie-heavy synthetic metrics. The merge
+// list fixes the whole node array, hence every cut. Ties are the hard
+// part: usageDist values like 0.0, 0.5, and 1.0 recur constantly, and
+// complete linkage is only unique once the canonical tie-breaking order
+// fixes it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +16,7 @@
 
 #include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
+#include "oracles/NaiveClustering.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
 
@@ -26,8 +28,6 @@ using namespace diffcode::cluster;
 using namespace diffcode::usage;
 
 namespace {
-
-using Algorithm = ClusteringOptions::Algorithm;
 
 /// Random feature path over a small vocabulary, so exact duplicates and
 /// tied distances are common across a corpus.
@@ -85,9 +85,14 @@ void expectIdenticalTrees(const Dendrogram &A, const Dendrogram &B) {
   }
 }
 
-void expectIdenticalCuts(const Dendrogram &A, const Dendrogram &B) {
-  for (double Threshold : {0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0})
-    EXPECT_EQ(A.cut(Threshold), B.cut(Threshold)) << "cut at " << Threshold;
+/// The engine dendrogram over \p N items encodes exactly the naive
+/// oracle's canonical merge list for the same matrix \p D.
+void expectMatchesOracle(const Dendrogram &Tree, std::size_t N,
+                         const std::vector<double> &D) {
+  EXPECT_EQ(Tree.leafCount(), N);
+  // Every leaf, then one node per merge; the last merge is the root.
+  EXPECT_EQ(Tree.root(), N == 0 ? -1 : static_cast<int>(2 * N - 2));
+  EXPECT_EQ(dendrogramMerges(Tree), naiveMerges(N, D));
 }
 
 } // namespace
@@ -108,10 +113,7 @@ TEST_P(CorpusEquivalence, ChainMatchesNaiveOracle) {
   std::vector<double> D = pairwiseDistanceMatrix(
       Size, [&](std::size_t I, std::size_t J) { return Cache(I, J); });
 
-  Dendrogram Naive = agglomerateDistanceMatrix(Size, D, Algorithm::Naive);
-  Dendrogram Chain = agglomerateDistanceMatrix(Size, D, Algorithm::NNChain);
-  expectIdenticalTrees(Naive, Chain);
-  expectIdenticalCuts(Naive, Chain);
+  expectMatchesOracle(agglomerateDistanceMatrix(Size, D), Size, D);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CorpusEquivalence, ::testing::Range(0, 6));
@@ -133,10 +135,7 @@ TEST_P(TieGridEquivalence, QuantizedDistancesAgree) {
     for (std::size_t J = I + 1; J < N; ++J)
       D[I * N + J] = D[J * N + I] = Grid[R.index(5)];
 
-  Dendrogram Naive = agglomerateDistanceMatrix(N, D, Algorithm::Naive);
-  Dendrogram Chain = agglomerateDistanceMatrix(N, D, Algorithm::NNChain);
-  expectIdenticalTrees(Naive, Chain);
-  expectIdenticalCuts(Naive, Chain);
+  expectMatchesOracle(agglomerateDistanceMatrix(N, D), N, D);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TieGridEquivalence, ::testing::Range(0, 24));
@@ -155,12 +154,8 @@ TEST(ClusteringEquivalence, DuplicateItemsAgree) {
   std::vector<double> D = pairwiseDistanceMatrix(
       Changes.size(),
       [&](std::size_t I, std::size_t J) { return Cache(I, J); });
-  Dendrogram Naive =
-      agglomerateDistanceMatrix(Changes.size(), D, Algorithm::Naive);
-  Dendrogram Chain =
-      agglomerateDistanceMatrix(Changes.size(), D, Algorithm::NNChain);
-  expectIdenticalTrees(Naive, Chain);
-  expectIdenticalCuts(Naive, Chain);
+  expectMatchesOracle(agglomerateDistanceMatrix(Changes.size(), D),
+                      Changes.size(), D);
 }
 
 //===----------------------------------------------------------------------===//
@@ -191,14 +186,17 @@ TEST(ClusteringEquivalence, ThreadCountDoesNotChangeDendrogram) {
   Dendrogram B = clusterUsageChanges(Changes, Eight);
   expectIdenticalTrees(A, B);
 
-  ClusteringOptions NaiveSerial;
-  NaiveSerial.Algo = Algorithm::Naive;
-  Dendrogram C = clusterUsageChanges(Changes, NaiveSerial);
-  expectIdenticalTrees(A, C);
+  // End to end: the cached, threaded wrapper still encodes the oracle's
+  // merges over the serial matrix.
+  UsageDistCache Cache(Changes);
+  std::vector<double> D = pairwiseDistanceMatrix(
+      Changes.size(),
+      [&](std::size_t I, std::size_t J) { return Cache(I, J); });
+  expectMatchesOracle(B, Changes.size(), D);
 }
 
 //===----------------------------------------------------------------------===//
-// Small shapes: both engines on the degenerate inputs.
+// Small shapes: engine and oracle on the degenerate inputs.
 //===----------------------------------------------------------------------===//
 
 TEST(ClusteringEquivalence, TinyInputsAgree) {
@@ -207,9 +205,6 @@ TEST(ClusteringEquivalence, TinyInputsAgree) {
     for (std::size_t I = 0; I < N; ++I)
       for (std::size_t J = I + 1; J < N; ++J)
         D[I * N + J] = D[J * N + I] = 0.5;
-    Dendrogram Naive = agglomerateDistanceMatrix(N, D, Algorithm::Naive);
-    Dendrogram Chain = agglomerateDistanceMatrix(N, D, Algorithm::NNChain);
-    expectIdenticalTrees(Naive, Chain);
-    EXPECT_EQ(Naive.leafCount(), N);
+    expectMatchesOracle(agglomerateDistanceMatrix(N, D), N, D);
   }
 }

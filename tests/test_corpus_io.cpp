@@ -134,6 +134,81 @@ TEST_F(CorpusIOTest, HandLaidOutProjectLoads) {
 }
 
 //===----------------------------------------------------------------------===//
+// Hostile layouts: an entry that exists but cannot be resolved or read is
+// a structured error naming it, never an exception or an empty file.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One project with a valid commit c0001, so each hostile case differs
+/// from a loadable corpus by exactly one entry.
+void layOutProject(const fs::path &Project) {
+  fs::create_directories(Project / "head");
+  fs::create_directories(Project / "commits" / "c0001");
+  std::ofstream(Project / "project.meta") << "isAndroid=false\n";
+  std::ofstream(Project / "head" / "A.java") << "class A { }";
+  std::ofstream(Project / "commits" / "c0001" / "old.java") << "class A { }";
+  std::ofstream(Project / "commits" / "c0001" / "new.java") << "class B { }";
+}
+
+} // namespace
+
+TEST_F(CorpusIOTest, SymlinkLoopDirectoryIsAnError) {
+  for (const char *Dir : {"head", "commits"}) {
+    fs::remove_all(Root);
+    fs::path Project = Root / "loopy";
+    layOutProject(Project);
+    fs::remove_all(Project / Dir);
+    // A self-referencing link: resolving it fails with ELOOP.
+    fs::create_symlink(Project / Dir, Project / Dir);
+
+    std::string Error;
+    std::optional<Corpus> Loaded;
+    ASSERT_NO_THROW(Loaded = readCorpus(Root.string(), &Error)) << Dir;
+    EXPECT_FALSE(Loaded.has_value()) << Dir;
+    EXPECT_NE(Error.find((Project / Dir).string()), std::string::npos)
+        << Dir << ": " << Error;
+  }
+}
+
+TEST_F(CorpusIOTest, UnreadableSourceIsAnError) {
+  for (const char *File : {"old.java", "new.java"}) {
+    for (bool AsDirectory : {false, true}) {
+      fs::remove_all(Root);
+      fs::path Commit = Root / "proj" / "commits" / "c0001";
+      layOutProject(Root / "proj");
+      fs::remove(Commit / File);
+      if (AsDirectory)
+        fs::create_directory(Commit / File);
+      else
+        fs::create_symlink(Commit / File, Commit / File);
+
+      std::string Error;
+      std::optional<Corpus> Loaded;
+      ASSERT_NO_THROW(Loaded = readCorpus(Root.string(), &Error)) << File;
+      EXPECT_FALSE(Loaded.has_value())
+          << File << (AsDirectory ? " as directory" : " as symlink loop");
+      EXPECT_NE(Error.find((Commit / File).string()), std::string::npos)
+          << File << ": " << Error;
+    }
+  }
+}
+
+TEST_F(CorpusIOTest, DanglingSymlinksAreSkippedLikeAbsentFiles) {
+  fs::path Project = Root / "proj";
+  layOutProject(Project);
+  fs::create_symlink(Root / "gone.java", Project / "head" / "B.java");
+  fs::create_symlink(Root / "gone", Project / "commits" / "c0002");
+
+  std::string Error;
+  std::optional<Corpus> Loaded = readCorpus(Root.string(), &Error);
+  ASSERT_TRUE(Loaded.has_value()) << Error;
+  ASSERT_EQ(Loaded->Projects.size(), 1u);
+  EXPECT_EQ(Loaded->Projects[0].Files.size(), 1u);
+  EXPECT_EQ(Loaded->Projects[0].History.size(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
 // readFileContents: the mmap fast path and its chunked fallback
 //===----------------------------------------------------------------------===//
 

@@ -12,10 +12,11 @@ using namespace diffcode::cluster;
 namespace {
 
 Dendrogram clusterPoints(const std::vector<double> &Points) {
-  return agglomerativeCluster(Points.size(),
-                              [&](std::size_t I, std::size_t J) {
-                                return std::abs(Points[I] - Points[J]) / 100.0;
-                              });
+  return agglomerateDistanceMatrix(
+      Points.size(),
+      pairwiseDistanceMatrix(Points.size(), [&](std::size_t I, std::size_t J) {
+        return std::abs(Points[I] - Points[J]) / 100.0;
+      }));
 }
 
 std::string label(std::size_t Item) {

@@ -13,10 +13,10 @@
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
-#include "javaast/AstPrinter.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
+#include "oracles/AstPrinter.h"
+#include "oracles/ReferenceLexer.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

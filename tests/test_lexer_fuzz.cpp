@@ -15,7 +15,7 @@
 #include "corpus/Scenario.h"
 #include "javaast/Lexer.h"
 #include "javaast/Parser.h"
-#include "javaast/ReferenceLexer.h"
+#include "oracles/ReferenceLexer.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

@@ -1,8 +1,8 @@
 //===- tests/test_parser.cpp - Java parser unit tests ----------------------===//
 
-#include "javaast/AstPrinter.h"
 #include "javaast/Parser.h"
 
+#include "oracles/AstPrinter.h"
 #include "support/Casting.h"
 
 #include <gtest/gtest.h>

@@ -162,11 +162,14 @@ TEST(GarbageRobustness, PipelineOnMutatedChange) {
     // Corrupt the new version.
     std::size_t Pos = R.index(Change.NewCode.size());
     Change.NewCode.erase(Pos, R.range(1, 40));
-    for (const std::string &Target :
-         apimodel::CryptoApiModel::javaCryptoApi().targetClasses())
-      (void)System.usageChangesFor(Change, Target);
+    // processChange contains exceptions, so a throw inside the analysis
+    // shows up as a status rather than escaping the test.
+    core::ChangeRecord Record = System.processChange(
+        Change, apimodel::CryptoApiModel::javaCryptoApi().targetClasses(), {},
+        *System.labels());
+    EXPECT_NE(Record.Status, core::ChangeStatus::AnalysisThrow)
+        << "round " << Round << ": " << Record.StatusDetail;
   }
-  SUCCEED();
 }
 
 //===----------------------------------------------------------------------===//

@@ -117,11 +117,14 @@ TEST_P(ScenarioContract, FixSurvivesFiltersForSomeTargetClass) {
   Change.OldCode = renderScenario(makeInstance(false), "com.example.contract");
   Change.NewCode = renderScenario(makeInstance(true), "com.example.contract");
 
+  core::ChangeRecord Record = System.processChange(
+      Change, apimodel::CryptoApiModel::javaCryptoApi().targetClasses(), {},
+      *System.labels());
+  EXPECT_NE(Record.Status, core::ChangeStatus::AnalysisThrow)
+      << Record.StatusDetail;
   bool Survives = false;
-  for (const std::string &Target :
-       apimodel::CryptoApiModel::javaCryptoApi().targetClasses())
-    for (const usage::UsageChange &UC :
-         System.usageChangesFor(Change, Target))
+  for (const auto &[Target, Changes] : Record.PerClass)
+    for (const usage::UsageChange &UC : Changes)
       Survives = Survives || core::classifySolo(UC) == core::FilterStage::Kept;
   EXPECT_TRUE(Survives) << Change.OldCode << "\n====\n" << Change.NewCode;
 }
@@ -134,10 +137,13 @@ TEST_P(ScenarioContract, RestyleIsNonSemantic) {
   Inst.StyleSeed ^= 0xdeadbeef;
   Change.NewCode = renderScenario(Inst, "com.example.contract");
 
-  for (const std::string &Target :
-       apimodel::CryptoApiModel::javaCryptoApi().targetClasses())
-    for (const usage::UsageChange &UC :
-         System.usageChangesFor(Change, Target))
+  core::ChangeRecord Record = System.processChange(
+      Change, apimodel::CryptoApiModel::javaCryptoApi().targetClasses(), {},
+      *System.labels());
+  EXPECT_NE(Record.Status, core::ChangeStatus::AnalysisThrow)
+      << Record.StatusDetail;
+  for (const auto &[Target, Changes] : Record.PerClass)
+    for (const usage::UsageChange &UC : Changes)
       EXPECT_EQ(core::classifySolo(UC), core::FilterStage::FSame)
           << Target << "\n" << UC.str();
 }

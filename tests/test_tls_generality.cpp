@@ -66,7 +66,8 @@ TEST(TlsGenerality, UsageChangeFromHardeningCommit) {
   Change.OldCode = Sslv3Source;
   Change.NewCode = Tls12Source;
   std::vector<usage::UsageChange> Changes =
-      System.usageChangesFor(Change, "SSLContext");
+      System.processChange(Change, {"SSLContext"}, {}, *System.labels())
+          .PerClass["SSLContext"];
   ASSERT_EQ(Changes.size(), 1u);
   ASSERT_EQ(Changes[0].Removed.size(), 1u);
   ASSERT_EQ(Changes[0].Added.size(), 1u);
