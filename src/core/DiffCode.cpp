@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <set>
 
 using namespace diffcode;
 using namespace diffcode::core;
@@ -132,7 +131,7 @@ std::vector<usage::UsageDag>
 DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
                        const std::string &TargetClass) const {
   std::vector<usage::UsageDag> Dags;
-  std::set<std::string> Seen;
+  std::vector<std::uint64_t> Hashes; // Parallel to Dags.
   for (const analysis::UsageLog &Log : Result.Executions) {
     for (const auto &[ObjId, Events] : Log) {
       if (Events.empty())
@@ -141,8 +140,14 @@ DiffCode::dagsForClass(const analysis::AnalysisResult &Result,
         continue;
       usage::UsageDag Dag =
           usage::UsageDag::build(Result.Objects, Log, ObjId, Config.Limits.DagDepth);
-      if (Seen.insert(Dag.canonicalString()).second)
+      std::uint64_t Hash = Dag.structuralHash();
+      bool Seen = false;
+      for (std::size_t I = 0; I < Dags.size() && !Seen; ++I)
+        Seen = Hashes[I] == Hash && Dags[I] == Dag;
+      if (!Seen) {
         Dags.push_back(std::move(Dag));
+        Hashes.push_back(Hash);
+      }
     }
   }
   return Dags;

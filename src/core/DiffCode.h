@@ -308,7 +308,9 @@ public:
   SourceAnalysis analyzeSourceChecked(std::string_view Source,
                                       java::AstContext &Ctx) const;
 
-  /// Deduplicated usage DAGs of \p TargetClass across all executions.
+  /// The usage DAGs of \p TargetClass across all executions, first
+  /// occurrence kept: a DAG structurally equal to an earlier one
+  /// (UsageDag::operator==) is dropped.
   std::vector<usage::UsageDag>
   dagsForClass(const analysis::AnalysisResult &Result,
                const std::string &TargetClass) const;

@@ -11,9 +11,7 @@ namespace {
 
 void emitPaths(JsonWriter &W, const char *Key, const usage::UsageChange &Change,
                const std::vector<support::PathId> &Paths) {
-  // Ids resolve to strings only here, at the emission boundary;
-  // Interner::pathString renders byte-identically to the old
-  // pathToString over materialised paths.
+  // Ids resolve to strings only here, at the emission boundary.
   W.key(Key).beginArray();
   for (support::PathId Id : Paths)
     W.value(Change.Table->pathString(Id));

@@ -71,6 +71,34 @@ PathId Interner::path(std::vector<LabelId> Ids) {
   return It->second;
 }
 
+PathId Interner::child(PathId Parent, LabelId Label) {
+  const std::uint64_t Key = std::uint64_t(Parent) << 32 | Label;
+  {
+    std::shared_lock<std::shared_mutex> Lock(Mutex);
+    auto It = Children.find(Key);
+    if (It != Children.end())
+      return It->second;
+  }
+  std::unique_lock<std::shared_mutex> Lock(Mutex);
+  auto [It, Inserted] = Children.emplace(Key, 0);
+  if (!Inserted)
+    return It->second;
+  // The sequence may already be interned through path().
+  std::vector<LabelId> Ids;
+  if (Parent != NoPath) {
+    const std::vector<LabelId> &Prefix = Paths[Parent];
+    Ids.reserve(Prefix.size() + 1);
+    Ids.assign(Prefix.begin(), Prefix.end());
+  }
+  Ids.push_back(Label);
+  auto [PathIt, NewPath] =
+      PathIds.emplace(std::move(Ids), static_cast<PathId>(Paths.size()));
+  if (NewPath)
+    Paths.push_back(PathIt->first);
+  It->second = PathIt->second;
+  return It->second;
+}
+
 const NodeLabel &Interner::labelAt(LabelId Id) const {
   std::shared_lock<std::shared_mutex> Lock(Mutex);
   return Labels[Id];
@@ -139,5 +167,9 @@ std::size_t Interner::memoryBytes() const {
   for (const auto &[Key, Id] : LabelIds)
     Bytes += 3 * sizeof(void *) + sizeof(LabelId) + sizeof(NodeLabel) +
              Key.Text.capacity();
+  // Child index: one hash node per entry plus its bucket slot.
+  Bytes += Children.size() *
+               (2 * sizeof(void *) + sizeof(std::uint64_t) + sizeof(PathId)) +
+           Children.bucket_count() * sizeof(void *);
   return Bytes;
 }

@@ -50,6 +50,7 @@
 #include <map>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace diffcode {
@@ -78,6 +79,15 @@ public:
   /// interner).
   PathId path(std::vector<LabelId> Labels);
 
+  /// The parent of a one-label path in child().
+  static constexpr PathId NoPath = ~PathId(0);
+
+  /// Interns labelsOf(\p Parent) followed by \p Label ([\p Label] when
+  /// \p Parent is NoPath) and returns the id path() gives that sequence:
+  /// a DAG node's path id from its parent's in one probe, without
+  /// building the sequence.
+  PathId child(PathId Parent, LabelId Label);
+
   /// The label behind \p Id. Reference stays valid forever (arena
   /// storage never moves).
   const usage::NodeLabel &labelAt(LabelId Id) const;
@@ -93,7 +103,8 @@ public:
   /// Rebuilds the owning FeaturePath (display/compat use only).
   usage::FeaturePath materialize(PathId Id) const;
 
-  /// Display form, byte-identical to pathToString(materialize(Id)).
+  /// Display form: the labels' NodeLabel::str() joined by single spaces,
+  /// e.g. "Cipher Cipher.getInstance arg1:AES".
   std::string pathString(PathId Id) const;
 
   std::size_t labelCount() const;
@@ -116,6 +127,8 @@ private:
   std::deque<std::vector<LabelId>> Paths;
   std::map<usage::NodeLabel, LabelId> LabelIds;
   std::map<std::vector<LabelId>, PathId> PathIds;
+  /// (Parent << 32 | Label) -> path; filled by child() only.
+  std::unordered_map<std::uint64_t, PathId> Children;
 };
 
 } // namespace support

@@ -5,9 +5,7 @@
 #include "support/Hungarian.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
-#include <set>
 
 using namespace diffcode;
 using namespace diffcode::usage;
@@ -93,11 +91,15 @@ diffcode::usage::shortestPaths(std::vector<PathId> Paths,
   // prefix of P while K1 <= K2 <= P for the last-kept K2, then K2 is
   // itself a prefix of P: at the first position i where K2 diverges from
   // P, i < |K1| would give P[i] = K1[i] < K2[i], i.e. P < K2. So testing
-  // only the last-kept survivor is sufficient.
+  // only the last-kept survivor is sufficient. Each sequence is resolved
+  // once, as labelsOf takes the table's lock.
+  std::vector<const std::vector<LabelId> *> Labels(Paths.size());
+  for (std::size_t I = 0; I < Paths.size(); ++I)
+    Labels[I] = &Table.labelsOf(Paths[I]);
   std::vector<std::size_t> Order(Paths.size());
   std::iota(Order.begin(), Order.end(), 0);
   std::sort(Order.begin(), Order.end(), [&](std::size_t A, std::size_t B) {
-    return Table.labelsOf(Paths[A]) < Table.labelsOf(Paths[B]);
+    return *Labels[A] < *Labels[B];
   });
 
   auto IsStrictPrefix = [](const std::vector<LabelId> &A,
@@ -115,8 +117,7 @@ diffcode::usage::shortestPaths(std::vector<PathId> Paths,
   Keep[LastKept] = true;
   for (std::size_t I = 1; I < Order.size(); ++I) {
     std::size_t Cur = Order[I];
-    if (!IsStrictPrefix(Table.labelsOf(Paths[LastKept]),
-                        Table.labelsOf(Paths[Cur]))) {
+    if (!IsStrictPrefix(*Labels[LastKept], *Labels[Cur])) {
       Keep[Cur] = true;
       LastKept = Cur;
     }
@@ -131,35 +132,83 @@ diffcode::usage::shortestPaths(std::vector<PathId> Paths,
   return Out;
 }
 
-std::vector<PathId> diffcode::usage::removedPaths(const UsageDag &G1,
-                                                  const UsageDag &G2,
-                                                  Interner &Table) {
-  std::set<PathId> InG2;
-  for (const FeaturePath &Path : G2.paths())
-    InG2.insert(Table.path(Path));
-
-  std::vector<PathId> OnlyInG1;
-  for (const FeaturePath &Path : G1.paths()) {
-    PathId Id = Table.path(Path);
-    if (!InG2.count(Id))
-      OnlyInG1.push_back(Id);
+DagIds DagIds::of(const UsageDag &Dag, Interner &Table) {
+  DagIds Out;
+  Out.Labels.reserve(Dag.size());
+  std::vector<PathId> Visited;
+  Visited.reserve(Dag.size());
+  // Pre-order walk; each entry carries the path id of its parent node.
+  std::vector<std::pair<unsigned, PathId>> Stack = {
+      {Dag.root(), Interner::NoPath}};
+  while (!Stack.empty()) {
+    auto [Index, Parent] = Stack.back();
+    Stack.pop_back();
+    const UsageDag::Node &Node = Dag.node(Index);
+    LabelId Label = Table.label(Node.Label);
+    PathId Path = Table.child(Parent, Label);
+    Out.Labels.push_back(Label);
+    Visited.push_back(Path);
+    for (auto It = Node.Children.rbegin(); It != Node.Children.rend(); ++It)
+      Stack.emplace_back(*It, Path);
   }
+
+  std::sort(Out.Labels.begin(), Out.Labels.end());
+  Out.Labels.erase(std::unique(Out.Labels.begin(), Out.Labels.end()),
+                   Out.Labels.end());
+  Out.SortedPaths = Visited;
+  std::sort(Out.SortedPaths.begin(), Out.SortedPaths.end());
+  Out.SortedPaths.erase(
+      std::unique(Out.SortedPaths.begin(), Out.SortedPaths.end()),
+      Out.SortedPaths.end());
+  // Keep each path's first visit, so the order never depends on id values.
+  std::vector<bool> Taken(Out.SortedPaths.size(), false);
+  Out.Paths.reserve(Out.SortedPaths.size());
+  for (PathId Path : Visited) {
+    std::size_t Slot = std::lower_bound(Out.SortedPaths.begin(),
+                                        Out.SortedPaths.end(), Path) -
+                       Out.SortedPaths.begin();
+    if (!Taken[Slot]) {
+      Taken[Slot] = true;
+      Out.Paths.push_back(Path);
+    }
+  }
+  return Out;
+}
+
+double diffcode::usage::dagDistance(const DagIds &A, const DagIds &B) {
+  std::size_t Common = 0;
+  std::size_t I = 0, J = 0;
+  while (I < A.Labels.size() && J < B.Labels.size()) {
+    if (A.Labels[I] == B.Labels[J]) {
+      ++Common;
+      ++I;
+      ++J;
+    } else if (A.Labels[I] < B.Labels[J]) {
+      ++I;
+    } else {
+      ++J;
+    }
+  }
+  std::size_t Union = A.Labels.size() + B.Labels.size() - Common;
+  if (Union == 0)
+    return 0.0;
+  return 1.0 - static_cast<double>(Common) / static_cast<double>(Union);
+}
+
+std::vector<PathId> diffcode::usage::removedPaths(const DagIds &G1,
+                                                  const DagIds &G2,
+                                                  const Interner &Table) {
+  std::vector<PathId> OnlyInG1;
+  for (PathId Path : G1.Paths)
+    if (!std::binary_search(G2.SortedPaths.begin(), G2.SortedPaths.end(),
+                            Path))
+      OnlyInG1.push_back(Path);
   return shortestPaths(std::move(OnlyInG1), Table);
 }
 
-UsageChange diffcode::usage::diffDags(const UsageDag &G1, const UsageDag &G2,
-                                      Interner &Table) {
-  UsageChange Change;
-  Change.TypeName = G1.typeName();
-  Change.Table = &Table;
-  Change.Removed = removedPaths(G1, G2, Table);
-  Change.Added = removedPaths(G2, G1, Table);
-  return Change;
-}
-
 std::vector<std::pair<std::size_t, std::size_t>>
-diffcode::usage::pairDags(const std::vector<UsageDag> &Old,
-                          const std::vector<UsageDag> &New) {
+diffcode::usage::pairDags(const std::vector<DagIds> &Old,
+                          const std::vector<DagIds> &New) {
   std::vector<std::pair<std::size_t, std::size_t>> Pairs;
   if (Old.empty() && New.empty())
     return Pairs;
@@ -189,13 +238,26 @@ diffcode::usage::deriveUsageChanges(const std::vector<UsageDag> &Old,
                                     const std::string &TypeName,
                                     Interner &Table) {
   std::vector<UsageChange> Changes;
-  UsageDag Padding = UsageDag::emptyFor(TypeName);
-  for (auto [OldIdx, NewIdx] : pairDags(Old, New)) {
-    const UsageDag &G1 =
-        OldIdx == Assignment::Unmatched ? Padding : Old[OldIdx];
-    const UsageDag &G2 =
-        NewIdx == Assignment::Unmatched ? Padding : New[NewIdx];
-    Changes.push_back(diffDags(G1, G2, Table));
+  if (Old.empty() && New.empty())
+    return Changes;
+  std::vector<DagIds> OldIds, NewIds;
+  for (const UsageDag &Dag : Old)
+    OldIds.push_back(DagIds::of(Dag, Table));
+  for (const UsageDag &Dag : New)
+    NewIds.push_back(DagIds::of(Dag, Table));
+  const DagIds Padding = DagIds::of(UsageDag::emptyFor(TypeName), Table);
+
+  for (auto [OldIdx, NewIdx] : pairDags(OldIds, NewIds)) {
+    bool OldPadded = OldIdx == Assignment::Unmatched;
+    const DagIds &G1 = OldPadded ? Padding : OldIds[OldIdx];
+    const DagIds &G2 =
+        NewIdx == Assignment::Unmatched ? Padding : NewIds[NewIdx];
+    UsageChange Change;
+    Change.TypeName = OldPadded ? TypeName : Old[OldIdx].typeName();
+    Change.Table = &Table;
+    Change.Removed = removedPaths(G1, G2, Table);
+    Change.Added = removedPaths(G2, G1, Table);
+    Changes.push_back(std::move(Change));
   }
   return Changes;
 }

@@ -79,25 +79,45 @@ struct UsageChange {
 std::vector<support::PathId> shortestPaths(std::vector<support::PathId> Paths,
                                            const support::Interner &Table);
 
-/// Removed(G1, G2) = Shortest(Paths(G1) \ Paths(G2)), interned.
-std::vector<support::PathId> removedPaths(const UsageDag &G1,
-                                          const UsageDag &G2,
-                                          support::Interner &Table);
+/// One usage DAG in interned form, the unit Section 3.5 pairs and diffs.
+/// deriveUsageChanges converts each DAG once on entry; pairing and
+/// diffing then compare integers only.
+struct DagIds {
+  /// Paths(G): the distinct root-to-node paths, in the order a pre-order
+  /// walk first reaches them. Equality is structural (interned ids), so
+  /// arg1:"1" and arg1:1 stay two paths.
+  std::vector<support::PathId> Paths;
+  /// The same ids sorted by value, for membership tests.
+  std::vector<support::PathId> SortedPaths;
+  /// The distinct node labels sorted by id value: the node-label set of
+  /// the intersection-over-union distance.
+  std::vector<support::LabelId> Labels;
 
-/// Diff(G1, G2) = (Removed(G1,G2), Removed(G2,G1)).
-UsageChange diffDags(const UsageDag &G1, const UsageDag &G2,
-                     support::Interner &Table);
+  /// Interns \p Dag's labels and paths: one label probe and one
+  /// Interner::child probe per node.
+  static DagIds of(const UsageDag &Dag, support::Interner &Table);
+};
+
+/// Intersection-over-union distance between two DAGs (Section 3.5):
+/// 1 - |N1 n N2| / |N1 u N2| over node-label sets. Result in [0, 1].
+double dagDistance(const DagIds &A, const DagIds &B);
+
+/// Removed(G1, G2) = Shortest(Paths(G1) \ Paths(G2)), in Paths(G1) order.
+std::vector<support::PathId> removedPaths(const DagIds &G1, const DagIds &G2,
+                                          const support::Interner &Table);
 
 /// Pairs old-version DAGs with new-version DAGs by minimum total
 /// dagDistance (Section 3.5), padding the shorter side with root-only
 /// DAGs. Returns index pairs (OldIdx, NewIdx); SIZE_MAX denotes a padding
 /// partner.
 std::vector<std::pair<std::size_t, std::size_t>>
-pairDags(const std::vector<UsageDag> &Old, const std::vector<UsageDag> &New);
+pairDags(const std::vector<DagIds> &Old, const std::vector<DagIds> &New);
 
 /// End-to-end Section 3.5: pair the two versions' DAGs of one target type
-/// and diff every pair. Empty diffs are kept (the fsame filter counts
-/// them).
+/// and diff every pair into Diff(G1, G2) = (Removed(G1,G2),
+/// Removed(G2,G1)). A change's TypeName is its old DAG's root type
+/// (\p TypeName when the old side is padding). Empty diffs are kept (the
+/// fsame filter counts them).
 std::vector<UsageChange> deriveUsageChanges(const std::vector<UsageDag> &Old,
                                             const std::vector<UsageDag> &New,
                                             const std::string &TypeName,

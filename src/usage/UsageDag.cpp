@@ -3,9 +3,7 @@
 #include "usage/UsageDag.h"
 
 #include <algorithm>
-#include <cassert>
 #include <functional>
-#include <set>
 
 using namespace diffcode;
 using namespace diffcode::usage;
@@ -46,115 +44,145 @@ UsageDag UsageDag::emptyFor(std::string TypeName) {
   return Dag;
 }
 
-UsageDag UsageDag::build(const ObjectTable &Objects, const UsageLog &Log,
-                         unsigned RootObj, unsigned MaxDepth) {
-  UsageDag Dag;
-  Dag.Nodes.push_back(
-      {NodeLabel::root(Objects.get(RootObj).TypeName), {}});
+namespace {
+
+/// Depth-first expansion of object nodes for UsageDag::build. PathObjs
+/// holds the objects on the current root-to-node path (the no-cycle
+/// rule): an object pushes itself when its expansion starts and pops
+/// itself when it ends.
+struct DagBuilder {
+  const UsageLog &Log;
+  unsigned MaxDepth;
+  std::vector<UsageDag::Node> &Nodes;
+  std::vector<unsigned> PathObjs;
+
+  bool onPath(unsigned ObjId) const {
+    return std::find(PathObjs.begin(), PathObjs.end(), ObjId) !=
+           PathObjs.end();
+  }
+
+  unsigned add(NodeLabel Label, unsigned Parent) {
+    unsigned Index = static_cast<unsigned>(Nodes.size());
+    Nodes.push_back({std::move(Label), {}});
+    Nodes[Parent].Children.push_back(Index);
+    return Index;
+  }
 
   // Expand an object node: one method child per distinct usage event, one
   // argument child per parameter; tracked-object arguments recurse.
-  // PathObjs guards against cycles (an object is expanded at most once per
-  // root-to-node path).
-  std::function<void(unsigned, unsigned, unsigned, std::set<unsigned>)>
-      ExpandObject = [&](unsigned NodeIdx, unsigned ObjId, unsigned Depth,
-                         std::set<unsigned> PathObjs) {
-        if (Depth >= MaxDepth)
-          return;
-        auto LogIt = Log.find(ObjId);
-        if (LogIt == Log.end())
-          return;
-        PathObjs.insert(ObjId);
+  void expandObject(unsigned NodeIdx, unsigned ObjId, unsigned Depth) {
+    if (Depth >= MaxDepth)
+      return;
+    auto LogIt = Log.find(ObjId);
+    if (LogIt == Log.end())
+      return;
+    PathObjs.push_back(ObjId);
 
-        // Distinct events only — the DAG is a set of (m, sigma) nodes.
-        std::vector<const UsageEvent *> Distinct;
-        for (const UsageEvent &Event : LogIt->second) {
-          bool Seen = false;
-          for (const UsageEvent *Prev : Distinct)
-            Seen = Seen || (*Prev == Event);
-          if (!Seen)
-            Distinct.push_back(&Event);
-        }
+    // Distinct events only — the DAG is a set of (m, sigma) nodes.
+    std::vector<const UsageEvent *> Distinct;
+    for (const UsageEvent &Event : LogIt->second)
+      if (std::none_of(Distinct.begin(), Distinct.end(),
+                       [&](const UsageEvent *Prev) { return *Prev == Event; }))
+        Distinct.push_back(&Event);
 
-        for (const UsageEvent *Event : Distinct) {
-          // The paper's no-cycle rule: an event whose arguments refer back
-          // to an object on the current path would close a cycle (e.g.
-          // re-expanding Cipher.init underneath the IvParameterSpec it
-          // received) — skip it.
-          bool ClosesCycle = false;
-          for (const AbstractValue &Arg : Event->Args)
-            if (Arg.isTrackedObject() && PathObjs.count(Arg.objectId()))
-              ClosesCycle = true;
-          if (ClosesCycle && Depth > 0)
-            continue;
-          unsigned MethodIdx = static_cast<unsigned>(Dag.Nodes.size());
-          Dag.Nodes.push_back({NodeLabel::method(Event->MethodSig), {}});
-          Dag.Nodes[NodeIdx].Children.push_back(MethodIdx);
-          if (Depth + 1 >= MaxDepth)
-            continue;
-          for (std::size_t I = 0; I < Event->Args.size(); ++I) {
-            const AbstractValue &Arg = Event->Args[I];
-            unsigned ArgIdx = static_cast<unsigned>(Dag.Nodes.size());
-            Dag.Nodes.push_back(
-                {NodeLabel::arg(static_cast<unsigned>(I + 1), Arg), {}});
-            Dag.Nodes[MethodIdx].Children.push_back(ArgIdx);
-            if (Arg.isTrackedObject() && !PathObjs.count(Arg.objectId()))
-              ExpandObject(ArgIdx, Arg.objectId(), Depth + 2, PathObjs);
-          }
-        }
-      };
+    for (const UsageEvent *Event : Distinct) {
+      // The paper's no-cycle rule: an event whose arguments refer back
+      // to an object on the current path would close a cycle (e.g.
+      // re-expanding Cipher.init underneath the IvParameterSpec it
+      // received) — skip it.
+      bool ClosesCycle = std::any_of(
+          Event->Args.begin(), Event->Args.end(), [&](const AbstractValue &A) {
+            return A.isTrackedObject() && onPath(A.objectId());
+          });
+      if (ClosesCycle && Depth > 0)
+        continue;
+      unsigned MethodIdx = add(NodeLabel::method(Event->MethodSig), NodeIdx);
+      if (Depth + 1 >= MaxDepth)
+        continue;
+      for (std::size_t I = 0; I < Event->Args.size(); ++I) {
+        const AbstractValue &Arg = Event->Args[I];
+        unsigned ArgIdx =
+            add(NodeLabel::arg(static_cast<unsigned>(I + 1), Arg), MethodIdx);
+        if (Arg.isTrackedObject() && !onPath(Arg.objectId()))
+          expandObject(ArgIdx, Arg.objectId(), Depth + 2);
+      }
+    }
+    PathObjs.pop_back();
+  }
+};
 
-  ExpandObject(0, RootObj, 0, {});
+std::uint64_t mix(std::uint64_t X) {
+  // splitmix64 finalizer.
+  X ^= X >> 30;
+  X *= 0xbf58476d1ce4e5b9ULL;
+  X ^= X >> 27;
+  X *= 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
+std::uint64_t labelHash(const NodeLabel &Label) {
+  return mix(std::hash<std::string>{}(Label.Text) ^
+             (std::uint64_t(Label.K) << 40 |
+              std::uint64_t(Label.ValueIsString) << 32 | Label.ArgIndex));
+}
+
+} // namespace
+
+UsageDag UsageDag::build(const ObjectTable &Objects, const UsageLog &Log,
+                         unsigned RootObj, unsigned MaxDepth) {
+  UsageDag Dag = emptyFor(Objects.get(RootObj).TypeName);
+  DagBuilder{Log, MaxDepth, Dag.Nodes, {}}.expandObject(0, RootObj, 0);
   return Dag;
 }
 
-std::vector<FeaturePath> UsageDag::paths() const {
-  std::vector<FeaturePath> Out;
-  std::set<std::string> Seen;
-  FeaturePath Current;
-
-  std::function<void(unsigned)> Walk = [&](unsigned Index) {
-    Current.push_back(Nodes[Index].Label);
-    std::string Key = pathToString(Current);
-    if (Seen.insert(Key).second)
-      Out.push_back(Current);
-    for (unsigned Child : Nodes[Index].Children)
-      Walk(Child);
-    Current.pop_back();
-  };
-  Walk(0);
-  return Out;
-}
-
-std::vector<NodeLabel> UsageDag::labelSet() const {
-  std::vector<NodeLabel> Labels;
-  Labels.reserve(Nodes.size());
-  for (const Node &N : Nodes)
-    Labels.push_back(N.Label);
-  std::sort(Labels.begin(), Labels.end());
-  Labels.erase(std::unique(Labels.begin(), Labels.end()), Labels.end());
-  return Labels;
-}
-
-std::string UsageDag::canonicalString() const {
-  std::function<std::string(unsigned)> Print = [&](unsigned Index) {
-    std::string Out = Nodes[Index].Label.str();
-    if (Nodes[Index].Children.empty())
-      return Out;
-    std::vector<std::string> Kids;
-    for (unsigned Child : Nodes[Index].Children)
-      Kids.push_back(Print(Child));
+std::vector<std::uint64_t> UsageDag::subtreeHashes() const {
+  // Every child has a larger index than its parent, so one reverse sweep
+  // sees every child's hash before its parent's. Child hashes combine in
+  // sorted order, which makes the result independent of child order.
+  std::vector<std::uint64_t> Hashes(Nodes.size());
+  std::vector<std::uint64_t> Kids;
+  for (std::size_t I = Nodes.size(); I-- > 0;) {
+    Kids.clear();
+    for (unsigned Child : Nodes[I].Children)
+      Kids.push_back(Hashes[Child]);
     std::sort(Kids.begin(), Kids.end());
-    Out += '(';
-    for (std::size_t I = 0; I < Kids.size(); ++I) {
-      if (I != 0)
-        Out += ',';
-      Out += Kids[I];
-    }
-    Out += ')';
-    return Out;
-  };
-  return Print(0);
+    std::uint64_t H = labelHash(Nodes[I].Label);
+    for (std::uint64_t K : Kids)
+      H = mix(H + K);
+    Hashes[I] = H;
+  }
+  return Hashes;
+}
+
+std::uint64_t UsageDag::structuralHash() const { return subtreeHashes()[0]; }
+
+bool UsageDag::sameSubtree(const UsageDag &A,
+                           const std::vector<std::uint64_t> &HashA,
+                           unsigned NA, const UsageDag &B,
+                           const std::vector<std::uint64_t> &HashB,
+                           unsigned NB) {
+  const Node &X = A.Nodes[NA], &Y = B.Nodes[NB];
+  if (HashA[NA] != HashB[NB] || !(X.Label == Y.Label) ||
+      X.Children.size() != Y.Children.size())
+    return false;
+  // Match children as a multiset. Isomorphism is an equivalence, so
+  // taking the first unmatched equal partner never blocks a later match.
+  std::vector<unsigned> Open = Y.Children;
+  for (unsigned Child : X.Children) {
+    auto It = std::find_if(Open.begin(), Open.end(), [&](unsigned Other) {
+      return sameSubtree(A, HashA, Child, B, HashB, Other);
+    });
+    if (It == Open.end())
+      return false;
+    Open.erase(It);
+  }
+  return true;
+}
+
+bool UsageDag::operator==(const UsageDag &Other) const {
+  return Nodes.size() == Other.Nodes.size() &&
+         sameSubtree(*this, subtreeHashes(), 0, Other, Other.subtreeHashes(),
+                     0);
 }
 
 std::string UsageDag::str() const {
@@ -169,26 +197,4 @@ std::string UsageDag::str() const {
   };
   Walk(0, 0);
   return Out;
-}
-
-double diffcode::usage::dagDistance(const UsageDag &A, const UsageDag &B) {
-  std::vector<NodeLabel> LA = A.labelSet();
-  std::vector<NodeLabel> LB = B.labelSet();
-  std::size_t Common = 0;
-  std::size_t I = 0, J = 0;
-  while (I < LA.size() && J < LB.size()) {
-    if (LA[I] == LB[J]) {
-      ++Common;
-      ++I;
-      ++J;
-    } else if (LA[I] < LB[J]) {
-      ++I;
-    } else {
-      ++J;
-    }
-  }
-  std::size_t Union = LA.size() + LB.size() - Common;
-  if (Union == 0)
-    return 0.0;
-  return 1.0 - static_cast<double>(Common) / static_cast<double>(Union);
 }

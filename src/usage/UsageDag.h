@@ -24,6 +24,7 @@
 #include "analysis/AbstractObject.h"
 #include "analysis/UsageEvent.h"
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,21 +80,9 @@ struct NodeLabel {
 };
 
 /// A root-to-node label sequence; the unit of the usage-change features
-/// F- / F+ (Section 3.5).
+/// F- / F+ (Section 3.5). Pipeline code carries paths as interned
+/// support::PathId values and materializes them only for display.
 using FeaturePath = std::vector<NodeLabel>;
-
-/// Renders a path as "Cipher getInstance arg1:AES". Inline for the same
-/// reason as NodeLabel::str(): the support-level interner renders paths
-/// at emission time without linking this library.
-inline std::string pathToString(const FeaturePath &Path) {
-  std::string Out;
-  for (std::size_t I = 0; I < Path.size(); ++I) {
-    if (I != 0)
-      Out += ' ';
-    Out += Path[I].str();
-  }
-  return Out;
-}
 
 /// One rooted usage DAG.
 class UsageDag {
@@ -119,29 +108,32 @@ public:
   bool isRootOnly() const { return Nodes.size() == 1; }
   const std::string &typeName() const { return Nodes[0].Label.Text; }
 
-  /// All root-prefix paths (one per node, deduplicated).
-  std::vector<FeaturePath> paths() const;
+  /// Structural equality up to the order of children: equal iff the two
+  /// DAGs are isomorphic with NodeLabel::operator== on every node. Used
+  /// to dedupe DAGs across executions.
+  bool operator==(const UsageDag &Other) const;
 
-  /// The deduplicated multiset-as-set of node labels, for the
-  /// intersection-over-union distance.
-  std::vector<NodeLabel> labelSet() const;
-
-  /// Canonical serialization (children sorted); equal strings iff the
-  /// DAGs are isomorphic under label ordering. Used to dedupe DAGs across
-  /// executions.
-  std::string canonicalString() const;
+  /// A hash of the same structure: equal DAGs hash equal, whatever the
+  /// order of their children.
+  std::uint64_t structuralHash() const;
 
   /// Human-readable indented rendering (one node per line), as shown in
   /// the paper's Figure 2(b)/(c).
   std::string str() const;
 
 private:
+  /// Per-node structuralHash() of the subtree below each node.
+  std::vector<std::uint64_t> subtreeHashes() const;
+  static bool sameSubtree(const UsageDag &A,
+                          const std::vector<std::uint64_t> &HashA, unsigned NA,
+                          const UsageDag &B,
+                          const std::vector<std::uint64_t> &HashB,
+                          unsigned NB);
+
+  /// Nodes are appended as the build reaches them, so every child has a
+  /// larger index than its parent.
   std::vector<Node> Nodes;
 };
-
-/// Intersection-over-union distance between two DAGs (Section 3.5):
-/// 1 - |N1 n N2| / |N1 u N2| over node-label sets. Result in [0, 1].
-double dagDistance(const UsageDag &A, const UsageDag &B);
 
 } // namespace usage
 } // namespace diffcode

@@ -16,6 +16,7 @@
 
 #include "cluster/DendrogramExport.h"
 #include "cluster/HierarchicalClustering.h"
+#include "oracles/UsageOracle.h"
 #include "support/Interner.h"
 #include "support/JsonWriter.h"
 

@@ -7,6 +7,7 @@
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "oracles/NaiveClustering.h"
+#include "oracles/UsageOracle.h"
 #include "rules/BuiltinRules.h"
 
 #include <gtest/gtest.h>
@@ -97,6 +98,35 @@ TEST(DiffCodeE2E, Figure2UsageChange) {
   EXPECT_TRUE(AddedStrs.count("Cipher Cipher.init arg3:IvParameterSpec"));
   EXPECT_EQ(RemovedStrs.size(), 1u);
   EXPECT_EQ(AddedStrs.size(), 2u);
+}
+
+TEST(DiffCodeE2E, DagsThatRenderAlikeStayDistinct) {
+  // Joined with unescaped ',' '(' ')', both DAGs of the old version
+  // render as Cipher(Cipher.getInstance(arg1:AES,arg2:BC)). Dedup on
+  // that text drops b and reports only an empty change; structurally
+  // b is a second DAG, and dropping it is a removal.
+  const char *Old = R"java(
+class Crypt {
+    void run() throws Exception {
+        Cipher a = Cipher.getInstance("AES", "BC");
+        Cipher b = Cipher.getInstance("AES,arg2:BC");
+    }
+}
+)java";
+  const char *New = R"java(
+class Crypt {
+    void run() throws Exception {
+        Cipher a = Cipher.getInstance("AES", "BC");
+    }
+}
+)java";
+  DiffCode System(api());
+  std::vector<usage::UsageChange> Changes =
+      process(System, change(Old, New)).PerClass["Cipher"];
+  ASSERT_EQ(Changes.size(), 2u);
+  EXPECT_TRUE(Changes[0].isEmpty());
+  EXPECT_TRUE(Changes[1].Added.empty());
+  EXPECT_EQ(Changes[1].str(), "- Cipher Cipher.getInstance\n");
 }
 
 TEST(DiffCodeE2E, Figure2IvParameterSpecSideChannel) {

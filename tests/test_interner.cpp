@@ -18,6 +18,7 @@
 #include "support/Interner.h"
 
 #include "cluster/Distance.h"
+#include "oracles/UsageOracle.h"
 
 #include <gtest/gtest.h>
 
@@ -178,4 +179,27 @@ TEST(Interner, PreconvertedLabelSequenceAgreesWithPathOverload) {
   for (const NodeLabel &Label : Path)
     Ids.push_back(Table.label(Label));
   EXPECT_EQ(Table.path(std::move(Ids)), Table.path(Path));
+}
+
+TEST(Interner, ChildAgreesWithPathOverload) {
+  // Cipher -> getInstance -> arg1:AES and Cipher -> init -> arg1:AES: the
+  // same label under two parents, and one sequence interned through
+  // path() before child() reaches it.
+  NodeLabel Root = NodeLabel::root("Cipher");
+  NodeLabel Get = NodeLabel::method("Cipher.getInstance/1");
+  NodeLabel Init = NodeLabel::method("Cipher.init/2");
+  NodeLabel Aes = NodeLabel::arg(1, AbstractValue::strConst("AES"));
+  Interner Table;
+  PathId Early = Table.path({Root, Init, Aes});
+  for (int Pass = 0; Pass < 2; ++Pass) { // new paths, then known ones
+    PathId R = Table.child(Interner::NoPath, Table.label(Root));
+    PathId RG = Table.child(R, Table.label(Get));
+    PathId RI = Table.child(R, Table.label(Init));
+    EXPECT_EQ(R, Table.path({Root}));
+    EXPECT_EQ(RG, Table.path({Root, Get}));
+    EXPECT_EQ(Table.child(RG, Table.label(Aes)), Table.path({Root, Get, Aes}));
+    EXPECT_EQ(Table.child(RI, Table.label(Aes)), Early);
+    EXPECT_EQ(Table.materialize(RI), (FeaturePath{Root, Init}));
+    EXPECT_EQ(Table.pathCount(), 5u);
+  }
 }

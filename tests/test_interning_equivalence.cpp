@@ -27,6 +27,7 @@
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
 #include "oracles/NaiveClustering.h"
+#include "oracles/UsageOracle.h"
 #include "support/JsonWriter.h"
 #include "support/Rng.h"
 

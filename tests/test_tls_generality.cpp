@@ -2,6 +2,7 @@
 
 #include "apimodel/TlsApiModel.h"
 #include "core/DiffCode.h"
+#include "oracles/UsageOracle.h"
 #include "rules/CryptoChecker.h"
 #include "rules/TlsRules.h"
 
@@ -52,7 +53,7 @@ TEST(TlsGenerality, AnalyzerTracksSslContext) {
       System.dagsForClass(Result, "SSLContext");
   ASSERT_EQ(Dags.size(), 1u);
   bool SawProtocol = false;
-  for (const usage::FeaturePath &Path : Dags.front().paths())
+  for (const usage::FeaturePath &Path : usage::referencePaths(Dags.front()))
     SawProtocol =
         SawProtocol ||
         usage::pathToString(Path) ==

@@ -2,6 +2,8 @@
 
 #include "usage/UsageChange.h"
 
+#include "oracles/UsageOracle.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,27 +60,20 @@ std::vector<support::PathId> intern(const std::vector<FeaturePath> &Paths) {
   return Ids;
 }
 
-/// The pre-interning quadratic reference implementation of Shortest(P),
-/// kept verbatim as the property-test oracle for the linear-pass
-/// elimination.
-std::vector<FeaturePath> shortestPathsQuadratic(
-    const std::vector<FeaturePath> &Paths) {
-  auto IsStrictPrefix = [](const FeaturePath &A, const FeaturePath &B) {
-    if (A.size() >= B.size())
-      return false;
-    return std::equal(A.begin(), A.end(), B.begin());
-  };
-  std::vector<FeaturePath> Out;
-  for (const FeaturePath &Candidate : Paths) {
-    bool HasPrefix = false;
-    for (const FeaturePath &Other : Paths)
-      if (IsStrictPrefix(Other, Candidate)) {
-        HasPrefix = true;
-        break;
-      }
-    if (!HasPrefix)
-      Out.push_back(Candidate);
-  }
+/// Diff(G1, G2) of one pair, through the Section 3.5 entry point (a
+/// single DAG on each side is always paired with the other).
+UsageChange diff(const UsageDag &G1, const UsageDag &G2,
+                 support::Interner &Table = table()) {
+  std::vector<UsageChange> Changes =
+      deriveUsageChanges({G1}, {G2}, G1.typeName(), Table);
+  EXPECT_EQ(Changes.size(), 1u);
+  return Changes.at(0);
+}
+
+std::vector<DagIds> ids(const std::vector<UsageDag> &Dags) {
+  std::vector<DagIds> Out;
+  for (const UsageDag &Dag : Dags)
+    Out.push_back(DagIds::of(Dag, table()));
   return Out;
 }
 
@@ -150,7 +145,7 @@ TEST(ShortestPaths, LinearPassMatchesQuadraticReference) {
       }
     }
 
-    std::vector<FeaturePath> Expected = shortestPathsQuadratic(Paths);
+    std::vector<FeaturePath> Expected = referenceShortest(Paths);
     std::vector<support::PathId> Actual =
         shortestPaths(intern(Paths), table());
     ASSERT_EQ(Actual.size(), Expected.size()) << "round " << Round;
@@ -167,14 +162,14 @@ TEST(ShortestPaths, LinearPassMatchesQuadraticReference) {
 TEST(DiffDags, IdenticalDagsYieldEmptyChange) {
   UsageDag A = cipherDag("AES");
   UsageDag B = cipherDag("AES");
-  UsageChange Change = diffDags(A, B, table());
+  UsageChange Change = diff(A, B);
   EXPECT_TRUE(Change.isEmpty());
   EXPECT_EQ(Change.TypeName, "Cipher");
 }
 
 TEST(DiffDags, AlgorithmSwapProducesMinimalFeatures) {
   UsageChange Change =
-      diffDags(cipherDag("AES"), cipherDag("AES/CBC", true), table());
+      diff(cipherDag("AES"), cipherDag("AES/CBC", true));
   std::vector<std::string> Removed = strs(Change.removedPaths());
   std::vector<std::string> Added = strs(Change.addedPaths());
   ASSERT_EQ(Removed.size(), 1u);
@@ -186,7 +181,7 @@ TEST(DiffDags, AlgorithmSwapProducesMinimalFeatures) {
 
 TEST(DiffDags, AgainstEmptyIsPureAddition) {
   UsageChange Change =
-      diffDags(UsageDag::emptyFor("Cipher"), cipherDag("AES"), table());
+      diff(UsageDag::emptyFor("Cipher"), cipherDag("AES"));
   EXPECT_TRUE(Change.Removed.empty());
   EXPECT_FALSE(Change.Added.empty());
   // The shortest added paths start at the method level (the root is
@@ -197,18 +192,49 @@ TEST(DiffDags, AgainstEmptyIsPureAddition) {
 
 TEST(DiffDags, SymmetricSwapReversesFeatureSets) {
   UsageDag A = cipherDag("AES"), B = cipherDag("DES");
-  UsageChange Fwd = diffDags(A, B, table());
-  UsageChange Bwd = diffDags(B, A, table());
+  UsageChange Fwd = diff(A, B);
+  UsageChange Bwd = diff(B, A);
   EXPECT_EQ(Fwd.Removed, Bwd.Added);
   EXPECT_EQ(Fwd.Added, Bwd.Removed);
 }
 
+TEST(DiffDags, StringAndIntConstantsStayDistinct) {
+  // Old: c.init(1, key); c.init("1", key);  New: c.init("1", key);
+  // arg1:1 and arg1:"1" render alike, so a diff keyed on rendered paths
+  // sees the old int path collapse into the string one and reports a
+  // bogus "+ arg1:1". Structurally only the int path is gone.
+  ObjectTable Objects;
+  unsigned Enc = Objects.getOrCreate({13, 1, 0}, "Cipher");
+  UsageEvent IntInit{"Cipher.init/2",
+                     {AbstractValue::intConst(1),
+                      AbstractValue::topObject("Key")}};
+  UsageEvent StrInit{"Cipher.init/2",
+                     {AbstractValue::strConst("1"),
+                      AbstractValue::topObject("Key")}};
+  UsageLog OldLog, NewLog;
+  OldLog[Enc] = {IntInit, StrInit};
+  NewLog[Enc] = {StrInit};
+  UsageDag Old = UsageDag::build(Objects, OldLog, Enc);
+  UsageDag New = UsageDag::build(Objects, NewLog, Enc);
+
+  UsageChange Change = diff(Old, New);
+  ASSERT_EQ(Change.Removed.size(), 1u);
+  EXPECT_TRUE(Change.Added.empty()) << Change.str();
+  FeaturePath Gone = {rootL("Cipher"), methodL("Cipher.init/2"),
+                      NodeLabel::arg(1, AbstractValue::intConst(1))};
+  EXPECT_EQ(Change.removedPaths()[0], Gone);
+  EXPECT_EQ(Change.str(), "- Cipher Cipher.init arg1:1\n");
+  ReferenceChange Expected = referenceUsageChanges({Old}, {New}, "Cipher")[0];
+  EXPECT_EQ(Change.removedPaths(), Expected.Removed);
+  EXPECT_EQ(Change.addedPaths(), Expected.Added);
+}
+
 TEST(UsageChange, SameFeaturesIgnoresOrigin) {
-  UsageChange A = diffDags(cipherDag("AES"), cipherDag("DES"), table());
+  UsageChange A = diff(cipherDag("AES"), cipherDag("DES"));
   UsageChange B = A;
   B.Origin = "elsewhere";
   EXPECT_TRUE(A.sameFeatures(B));
-  UsageChange C = diffDags(cipherDag("AES"), cipherDag("RC4"), table());
+  UsageChange C = diff(cipherDag("AES"), cipherDag("RC4"));
   EXPECT_FALSE(A.sameFeatures(C));
 }
 
@@ -218,17 +244,17 @@ TEST(UsageChange, SameFeaturesAcrossDistinctInterners) {
   support::Interner Other;
   // Skew Other's id assignment relative to the shared table.
   Other.path({methodL("T.skew"), strArg(1, "skew")});
-  UsageChange A = diffDags(cipherDag("AES"), cipherDag("DES"), table());
-  UsageChange B = diffDags(cipherDag("AES"), cipherDag("DES"), Other);
+  UsageChange A = diff(cipherDag("AES"), cipherDag("DES"));
+  UsageChange B = diff(cipherDag("AES"), cipherDag("DES"), Other);
   B.Origin = "elsewhere";
   EXPECT_TRUE(A.sameFeatures(B));
   EXPECT_TRUE(B.sameFeatures(A));
-  UsageChange C = diffDags(cipherDag("AES"), cipherDag("RC4"), Other);
+  UsageChange C = diff(cipherDag("AES"), cipherDag("RC4"), Other);
   EXPECT_FALSE(A.sameFeatures(C));
 }
 
 TEST(UsageChange, StrRendersSignedPaths) {
-  UsageChange Change = diffDags(cipherDag("AES"), cipherDag("DES"), table());
+  UsageChange Change = diff(cipherDag("AES"), cipherDag("DES"));
   std::string Text = Change.str();
   EXPECT_NE(Text.find("- Cipher Cipher.getInstance arg1:AES"),
             std::string::npos);
@@ -263,12 +289,13 @@ TEST(PairDags, MatchesMostSimilarDags) {
   // New order reversed; the matcher must recover the correspondence.
   New.push_back(cipherDag("DES"));
   New.push_back(cipherDag("AES"));
-  auto Pairs = pairDags(Old, New);
+  std::vector<DagIds> OldIds = ids(Old), NewIds = ids(New);
+  auto Pairs = pairDags(OldIds, NewIds);
   ASSERT_EQ(Pairs.size(), 2u);
   for (auto [O, N] : Pairs) {
     ASSERT_NE(O, static_cast<std::size_t>(-1));
     ASSERT_NE(N, static_cast<std::size_t>(-1));
-    EXPECT_DOUBLE_EQ(dagDistance(Old[O], New[N]), 0.0);
+    EXPECT_DOUBLE_EQ(dagDistance(OldIds[O], NewIds[N]), 0.0);
   }
 }
 
@@ -278,7 +305,7 @@ TEST(PairDags, PadsWhenCountsDiffer) {
   std::vector<UsageDag> New;
   New.push_back(cipherDag("AES"));
   New.push_back(cipherDag("DES"));
-  auto Pairs = pairDags(Old, New);
+  auto Pairs = pairDags(ids(Old), ids(New));
   ASSERT_EQ(Pairs.size(), 2u);
   unsigned Unmatched = 0;
   for (auto [O, N] : Pairs)
@@ -289,8 +316,7 @@ TEST(PairDags, PadsWhenCountsDiffer) {
 
 TEST(PairDags, EmptyInputs) {
   EXPECT_TRUE(pairDags({}, {}).empty());
-  std::vector<UsageDag> One;
-  One.push_back(cipherDag("AES"));
+  std::vector<DagIds> One = ids({cipherDag("AES")});
   EXPECT_EQ(pairDags(One, {}).size(), 1u);
   EXPECT_EQ(pairDags({}, One).size(), 1u);
 }

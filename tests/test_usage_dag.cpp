@@ -2,6 +2,9 @@
 
 #include "usage/UsageDag.h"
 
+#include "oracles/UsageOracle.h"
+#include "usage/UsageChange.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,10 +48,19 @@ struct Fixture {
   }
 };
 
+/// One shared table per test binary: append-only, so tests cannot
+/// interfere with each other through it.
+support::Interner &table() {
+  static support::Interner Table;
+  return Table;
+}
+
+DagIds ids(const UsageDag &Dag) { return DagIds::of(Dag, table()); }
+
 std::vector<std::string> pathStrings(const UsageDag &Dag) {
   std::vector<std::string> Out;
-  for (const FeaturePath &Path : Dag.paths())
-    Out.push_back(pathToString(Path));
+  for (support::PathId Path : ids(Dag).Paths)
+    Out.push_back(table().pathString(Path));
   std::sort(Out.begin(), Out.end());
   return Out;
 }
@@ -95,7 +107,7 @@ TEST(UsageDag, Figure2OldVersionStructure) {
   EXPECT_TRUE(containsPath(Dag, "Cipher Cipher.init arg1:ENCRYPT_MODE"));
   EXPECT_TRUE(containsPath(Dag, "Cipher Cipher.init arg2:Secret"));
   // 6 nodes as in Figure 2(b).
-  EXPECT_EQ(Dag.labelSet().size(), 6u);
+  EXPECT_EQ(ids(Dag).Labels.size(), 6u);
 }
 
 TEST(UsageDag, Figure2NewVersionExpandsIvSpec) {
@@ -109,32 +121,33 @@ TEST(UsageDag, Figure2NewVersionExpandsIvSpec) {
   EXPECT_FALSE(containsPath(
       Dag, "Cipher Cipher.init arg3:IvParameterSpec Cipher.init"));
   // 9 nodes as in Figure 2(c).
-  EXPECT_EQ(Dag.labelSet().size(), 9u);
+  EXPECT_EQ(ids(Dag).Labels.size(), 9u);
 }
 
 TEST(UsageDag, Figure2DistanceIsOneHalf) {
   Fixture Old(false), New(true);
   UsageDag G1 = UsageDag::build(Old.Objects, Old.Log, Old.Enc);
   UsageDag G2 = UsageDag::build(New.Objects, New.Log, New.Enc);
-  EXPECT_DOUBLE_EQ(dagDistance(G1, G2), 0.5);
+  EXPECT_DOUBLE_EQ(dagDistance(ids(G1), ids(G2)), 0.5);
 }
 
 TEST(UsageDag, DistanceAxioms) {
   Fixture Old(false), New(true);
   UsageDag G1 = UsageDag::build(Old.Objects, Old.Log, Old.Enc);
   UsageDag G2 = UsageDag::build(New.Objects, New.Log, New.Enc);
-  EXPECT_DOUBLE_EQ(dagDistance(G1, G1), 0.0);
-  EXPECT_DOUBLE_EQ(dagDistance(G2, G2), 0.0);
-  EXPECT_DOUBLE_EQ(dagDistance(G1, G2), dagDistance(G2, G1));
-  EXPECT_GE(dagDistance(G1, G2), 0.0);
-  EXPECT_LE(dagDistance(G1, G2), 1.0);
+  DagIds I1 = ids(G1), I2 = ids(G2);
+  EXPECT_DOUBLE_EQ(dagDistance(I1, I1), 0.0);
+  EXPECT_DOUBLE_EQ(dagDistance(I2, I2), 0.0);
+  EXPECT_DOUBLE_EQ(dagDistance(I1, I2), dagDistance(I2, I1));
+  EXPECT_GE(dagDistance(I1, I2), 0.0);
+  EXPECT_LE(dagDistance(I1, I2), 1.0);
 }
 
 TEST(UsageDag, EmptyForIsRootOnly) {
   UsageDag Empty = UsageDag::emptyFor("Cipher");
   EXPECT_TRUE(Empty.isRootOnly());
   EXPECT_EQ(Empty.typeName(), "Cipher");
-  EXPECT_EQ(Empty.paths().size(), 1u);
+  EXPECT_EQ(ids(Empty).Paths.size(), 1u);
 }
 
 TEST(UsageDag, DistanceToEmpty) {
@@ -142,9 +155,10 @@ TEST(UsageDag, DistanceToEmpty) {
   UsageDag G = UsageDag::build(Old.Objects, Old.Log, Old.Enc);
   UsageDag Empty = UsageDag::emptyFor("Cipher");
   // Shares only the root label: 1 - 1/6.
-  EXPECT_DOUBLE_EQ(dagDistance(G, Empty), 1.0 - 1.0 / 6.0);
+  EXPECT_DOUBLE_EQ(dagDistance(ids(G), ids(Empty)), 1.0 - 1.0 / 6.0);
   // Different root type shares nothing.
-  EXPECT_DOUBLE_EQ(dagDistance(Empty, UsageDag::emptyFor("Mac")), 1.0);
+  EXPECT_DOUBLE_EQ(dagDistance(ids(Empty), ids(UsageDag::emptyFor("Mac"))),
+                   1.0);
 }
 
 TEST(UsageDag, DuplicateEventsCollapse) {
@@ -182,8 +196,9 @@ TEST(UsageDag, DepthBoundRespected) {
   UsageDag Shallow = UsageDag::build(Objects, Log, Chain[0], 3);
   UsageDag Deep = UsageDag::build(Objects, Log, Chain[0], 7);
   EXPECT_LT(Shallow.size(), Deep.size());
-  for (const FeaturePath &Path : Shallow.paths())
-    EXPECT_LE(Path.size(), 4u); // depth 3 -> at most 4 nodes per path
+  for (support::PathId Path : ids(Shallow).Paths)
+    EXPECT_LE(table().labelsOf(Path).size(), 4u); // depth 3 -> at most 4
+                                                  // nodes per path
 }
 
 TEST(UsageDag, CycleBetweenObjectsTerminates) {
@@ -198,25 +213,99 @@ TEST(UsageDag, CycleBetweenObjectsTerminates) {
   EXPECT_LT(Dag.size(), 12u); // terminates with a small graph
 }
 
-TEST(UsageDag, CanonicalStringDetectsEquality) {
+TEST(UsageDag, StructuralEqualityDetectsEquality) {
   Fixture F1(false), F2(false);
   UsageDag A = UsageDag::build(F1.Objects, F1.Log, F1.Enc);
   UsageDag B = UsageDag::build(F2.Objects, F2.Log, F2.Enc);
-  EXPECT_EQ(A.canonicalString(), B.canonicalString());
+  EXPECT_TRUE(A == B);
+  EXPECT_EQ(A.structuralHash(), B.structuralHash());
   Fixture F3(true);
   UsageDag C = UsageDag::build(F3.Objects, F3.Log, F3.Enc);
-  EXPECT_NE(A.canonicalString(), C.canonicalString());
+  EXPECT_FALSE(A == C);
+  EXPECT_FALSE(C == A);
 }
 
-TEST(UsageDag, CanonicalStringIgnoresChildOrder) {
+TEST(UsageDag, StructuralEqualityIgnoresChildOrder) {
   ObjectTable Objects;
   unsigned Obj = Objects.getOrCreate({1, 1, 0}, "Cipher");
   UsageLog LogAB, LogBA;
   UsageEvent E1{"Cipher.a/0", {}}, E2{"Cipher.b/0", {}};
   LogAB[Obj] = {E1, E2};
   LogBA[Obj] = {E2, E1};
-  EXPECT_EQ(UsageDag::build(Objects, LogAB, Obj).canonicalString(),
-            UsageDag::build(Objects, LogBA, Obj).canonicalString());
+  UsageDag AB = UsageDag::build(Objects, LogAB, Obj);
+  UsageDag BA = UsageDag::build(Objects, LogBA, Obj);
+  EXPECT_NE(AB.str(), BA.str());
+  EXPECT_TRUE(AB == BA);
+  EXPECT_EQ(AB.structuralHash(), BA.structuralHash());
+}
+
+TEST(UsageDag, StructuralEqualityIsNotFooledByDelimitersInConstants) {
+  // getInstance("AES", "BC") and getInstance("AES,arg2:BC") both render
+  // as Cipher(Cipher.getInstance(arg1:AES,arg2:BC)) when children are
+  // joined with unescaped ',' '(' ')' — yet they are different DAGs.
+  ObjectTable Objects;
+  unsigned Obj = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  UsageLog TwoArgs, OneArg;
+  TwoArgs[Obj] = {{"Cipher.getInstance/2",
+                   {AbstractValue::strConst("AES"),
+                    AbstractValue::strConst("BC")}}};
+  OneArg[Obj] = {{"Cipher.getInstance/1",
+                  {AbstractValue::strConst("AES,arg2:BC")}}};
+  UsageDag A = UsageDag::build(Objects, TwoArgs, Obj);
+  UsageDag B = UsageDag::build(Objects, OneArg, Obj);
+  EXPECT_FALSE(A == B);
+  EXPECT_FALSE(referenceIsomorphic(A, B));
+}
+
+TEST(UsageDag, StructuralEqualityDistinguishesStringFromIntConstant) {
+  // arg1:"1" and arg1:1 display alike but are different labels.
+  ObjectTable Objects;
+  unsigned Obj = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  UsageLog Str, Int;
+  Str[Obj] = {{"Cipher.init/1", {AbstractValue::strConst("1")}}};
+  Int[Obj] = {{"Cipher.init/1", {AbstractValue::intConst(1)}}};
+  UsageDag A = UsageDag::build(Objects, Str, Obj);
+  UsageDag B = UsageDag::build(Objects, Int, Obj);
+  EXPECT_EQ(A.str(), B.str());
+  EXPECT_FALSE(A == B);
+}
+
+TEST(UsageDag, StructuralEqualityMatchesCanonicalFormOracle) {
+  // Every pair among DAGs that differ in child order, duplicated
+  // subtrees, labels and depth agrees with the canonical-form reference.
+  ObjectTable Objects;
+  unsigned Enc = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  unsigned Key = Objects.getOrCreate({2, 1, 0}, "SecretKeySpec");
+  UsageEvent GetAes{"Cipher.getInstance/1", {AbstractValue::strConst("AES")}};
+  UsageEvent GetDes{"Cipher.getInstance/1", {AbstractValue::strConst("DES")}};
+  UsageEvent Init{"Cipher.init/2",
+                  {AbstractValue::intConst(1, "ENCRYPT_MODE"),
+                   AbstractValue::object(Key, "SecretKeySpec")}};
+  UsageEvent KeyNew{"SecretKeySpec.<init>/2",
+                    {AbstractValue::byteArrayTop(),
+                     AbstractValue::strConst("AES")}};
+  std::vector<UsageLog> Logs(6);
+  Logs[0][Enc] = {GetAes, Init};
+  Logs[1][Enc] = {Init, GetAes};
+  Logs[2][Enc] = {GetAes, Init};
+  Logs[2][Key] = {KeyNew};
+  Logs[3][Enc] = {Init, GetAes};
+  Logs[3][Key] = {KeyNew};
+  Logs[4][Enc] = {GetDes, Init};
+  Logs[5][Enc] = {GetAes, GetDes, Init};
+  std::vector<UsageDag> Dags;
+  for (const UsageLog &Log : Logs)
+    Dags.push_back(UsageDag::build(Objects, Log, Enc));
+  for (const UsageDag &A : Dags)
+    for (const UsageDag &B : Dags) {
+      EXPECT_EQ(A == B, referenceIsomorphic(A, B)) << A.str() << B.str();
+      if (A == B) {
+        EXPECT_EQ(A.structuralHash(), B.structuralHash());
+      }
+    }
+  EXPECT_TRUE(Dags[0] == Dags[1]);
+  EXPECT_TRUE(Dags[2] == Dags[3]);
+  EXPECT_FALSE(Dags[0] == Dags[2]);
 }
 
 TEST(UsageDag, PathsAreDeduplicated) {
@@ -224,4 +313,21 @@ TEST(UsageDag, PathsAreDeduplicated) {
   UsageDag Dag = UsageDag::build(F.Objects, F.Log, F.Enc);
   std::vector<std::string> Paths = pathStrings(Dag);
   EXPECT_EQ(std::unique(Paths.begin(), Paths.end()), Paths.end());
+}
+
+TEST(UsageDag, PathsAreDeduplicatedStructurally) {
+  // init(1, key) and init("1", key): the two arg1 paths render alike but
+  // differ in ValueIsString, so both stay.
+  ObjectTable Objects;
+  UsageLog Log;
+  unsigned Obj = Objects.getOrCreate({1, 1, 0}, "Cipher");
+  Log[Obj] = {{"Cipher.init/2",
+               {AbstractValue::intConst(1), AbstractValue::topObject("Key")}},
+              {"Cipher.init/2",
+               {AbstractValue::strConst("1"),
+                AbstractValue::topObject("Key")}}};
+  UsageDag Dag = UsageDag::build(Objects, Log, Obj);
+  // Cipher, Cipher.init, arg1:1 (int), arg1:1 (string), arg2:Key.
+  EXPECT_EQ(ids(Dag).Paths.size(), 5u);
+  EXPECT_EQ(referencePaths(Dag).size(), 5u);
 }
