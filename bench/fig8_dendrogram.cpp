@@ -27,26 +27,34 @@ using namespace diffcode;
 
 namespace {
 
-bool removesEcbFeature(const usage::UsageChange &Change) {
-  for (const usage::FeaturePath &Path : Change.removedPaths())
-    for (const usage::NodeLabel &Label : Path)
-      if (Label.K == usage::NodeLabel::Kind::Arg && Label.ValueIsString &&
-          (Label.Text == "AES" || Label.Text.rfind("AES/ECB", 0) == 0 ||
-           Label.Text == "DES" || Label.Text.rfind("DES/", 0) == 0))
+/// True when some label on one of \p Paths satisfies \p Pred; labels are
+/// read by id through the change's interner.
+template <class PredFn>
+bool anyLabel(const usage::UsageChange &Change,
+              const std::vector<support::PathId> &Paths, PredFn Pred) {
+  for (support::PathId Path : Paths)
+    for (support::LabelId Label : Change.Table->labelsOf(Path))
+      if (Pred(Change.Table->labelAt(Label)))
         return true;
   return false;
 }
 
+bool removesEcbFeature(const usage::UsageChange &Change) {
+  return anyLabel(Change, Change.Removed, [](const usage::NodeLabel &Label) {
+    return Label.K == usage::NodeLabel::Kind::Arg && Label.ValueIsString &&
+           (Label.Text == "AES" || Label.Text.rfind("AES/ECB", 0) == 0 ||
+            Label.Text == "DES" || Label.Text.rfind("DES/", 0) == 0);
+  });
+}
+
 bool addsFeedbackMode(const usage::UsageChange &Change) {
-  for (const usage::FeaturePath &Path : Change.addedPaths())
-    for (const usage::NodeLabel &Label : Path)
-      if (Label.K == usage::NodeLabel::Kind::Arg &&
-          (Label.Text.find("/CBC") != std::string::npos ||
-           Label.Text.find("/GCM") != std::string::npos ||
-           Label.Text.find("/CTR") != std::string::npos ||
-           Label.Text == "IvParameterSpec"))
-        return true;
-  return false;
+  return anyLabel(Change, Change.Added, [](const usage::NodeLabel &Label) {
+    return Label.K == usage::NodeLabel::Kind::Arg &&
+           (Label.Text.find("/CBC") != std::string::npos ||
+            Label.Text.find("/GCM") != std::string::npos ||
+            Label.Text.find("/CTR") != std::string::npos ||
+            Label.Text == "IvParameterSpec");
+  });
 }
 
 } // namespace

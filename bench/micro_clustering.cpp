@@ -17,9 +17,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
+#include "oracles/DistanceOracle.h"
 #include "oracles/NaiveClustering.h"
 #include "support/JsonWriter.h"
 #include "support/Rng.h"
@@ -104,14 +104,14 @@ int main(int argc, char **argv) {
 
   std::vector<UsageChange> Changes = randomCorpus(Seed, N);
 
-  // Baseline: the seed's serial path — every usageDist call recomputes
-  // label similarities and path matchings from scratch, then the O(n^3)
-  // naive agglomeration.
+  // Baseline: the seed's serial path — every string-space usageDist call
+  // re-materializes both changes and recomputes label similarities and
+  // path matchings from scratch, then the O(n^3) naive agglomeration.
   auto BaselineStart = std::chrono::steady_clock::now();
   std::vector<double> BaselineMatrix = pairwiseDistanceMatrix(
       N,
       [&](std::size_t I, std::size_t J) {
-        return usageDist(Changes[I], Changes[J]);
+        return referenceUsageDist(Changes[I], Changes[J]);
       },
       nullptr);
   double BaselineMatrixMs = millisSince(BaselineStart);

@@ -32,10 +32,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
 #include "cluster/ShardedClustering.h"
+#include "oracles/DistanceOracle.h"
 #include "support/JsonWriter.h"
 #include "support/Rng.h"
 
@@ -164,7 +164,7 @@ std::size_t legacyCacheConstruct(const std::vector<StringChange> &Changes) {
       auto [It, Inserted] = LabelIds.emplace(Label, LabelList.size());
       if (Inserted) {
         LabelList.push_back(Label);
-        Units.push_back(labelUnits(Label));
+        Units.push_back(referenceLabelUnits(Label));
       }
       Seq.push_back(It->second);
     }
@@ -185,7 +185,7 @@ std::size_t legacyCacheConstruct(const std::vector<StringChange> &Changes) {
   for (std::size_t I = 0; I < LabelList.size(); ++I)
     for (std::size_t J = I; J < LabelList.size(); ++J)
       Sim[I * LabelList.size() + J] = Sim[J * LabelList.size() + I] =
-          labelSimilarity(LabelList[I], LabelList[J]);
+          referenceLabelSimilarity(LabelList[I], LabelList[J]);
   return LabelList.size() + PathLabels.size() + Sim.size();
 }
 
@@ -256,7 +256,7 @@ int main(int argc, char **argv) {
     Start = std::chrono::steady_clock::now();
     for (const auto &[I, J] : Pairs)
       StringChecksum +=
-          usageDist(Corpus.Interned[I], Corpus.Interned[J]);
+          referenceUsageDist(Corpus.Interned[I], Corpus.Interned[J]);
     double StringPairMs = millisSince(Start);
     ThroughputBarMet = ThroughputBarMet && CachePairMs <= StringPairMs;
 

@@ -16,7 +16,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "cluster/Distance.h"
+#include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
 #include "support/Hungarian.h"
 #include "support/Rng.h"
@@ -46,14 +46,18 @@ FeaturePath randomPath(Rng &R) {
   return P;
 }
 
-UsageChange randomChange(Rng &R) {
+support::Interner &table() {
   static support::Interner Table;
+  return Table;
+}
+
+UsageChange randomChange(Rng &R) {
   std::vector<FeaturePath> Removed, Added;
   for (std::size_t I = 0, N = 1 + R.range(0, 2); I < N; ++I)
     Removed.push_back(randomPath(R));
   for (std::size_t I = 0, N = 1 + R.range(0, 2); I < N; ++I)
     Added.push_back(randomPath(R));
-  return UsageChange::intern(Table, "Cipher", Removed, Added);
+  return UsageChange::intern(table(), "Cipher", Removed, Added);
 }
 
 void BM_Levenshtein(benchmark::State &State) {
@@ -81,13 +85,13 @@ BENCHMARK(BM_Hungarian)->RangeMultiplier(2)->Range(4, 128)->Complexity();
 void BM_PathsDist(benchmark::State &State) {
   const std::size_t N = static_cast<std::size_t>(State.range(0));
   Rng R(3);
-  std::vector<FeaturePath> F1, F2;
+  std::vector<support::PathId> F1, F2;
   for (std::size_t I = 0; I < N; ++I) {
-    F1.push_back(randomPath(R));
-    F2.push_back(randomPath(R));
+    F1.push_back(table().path(randomPath(R)));
+    F2.push_back(table().path(randomPath(R)));
   }
   for (auto _ : State)
-    benchmark::DoNotOptimize(cluster::pathsDist(F1, F2));
+    benchmark::DoNotOptimize(cluster::pathsDist(table(), F1, F2));
 }
 BENCHMARK(BM_PathsDist)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 

@@ -35,6 +35,9 @@ namespace {
 
 using BaseAbstraction = AnalysisOptions::BaseAbstraction;
 
+/// Inlining depth for program-defined methods.
+constexpr unsigned MaxInlineDepth = 4;
+
 /// Mutable state of one abstract execution path.
 struct ExecState {
   std::unordered_map<std::string, AbstractValue> Locals;
@@ -1189,7 +1192,7 @@ AbstractValue Engine::inlineCall(const MethodDecl *M, const ClassDecl *Class,
                                  const std::vector<AbstractValue> &Args,
                                  ExecState &State, Frame &F) {
   assert(M->Body && "inlineCall requires a body");
-  if (F.Depth >= Opts.MaxInlineDepth ||
+  if (F.Depth >= MaxInlineDepth ||
       std::find(F.CallStack.begin(), F.CallStack.end(), M) !=
           F.CallStack.end())
     return returnTypeToValue(M->ReturnType.baseName());

@@ -50,8 +50,6 @@ struct AnalysisOptions {
 
   /// Cap on forked executions per entry method.
   unsigned MaxStatesPerEntry = 24;
-  /// Inlining depth for program-defined methods.
-  unsigned MaxInlineDepth = 4;
   /// Statement-evaluation budget per entry (guards pathological inputs).
   unsigned Fuel = 50000;
   /// Abstract-object budget per unit (0 = unlimited). Past the cap, new

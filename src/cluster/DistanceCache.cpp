@@ -2,7 +2,6 @@
 
 #include "cluster/DistanceCache.h"
 
-#include "cluster/Distance.h"
 #include "support/Hungarian.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
@@ -22,7 +21,93 @@ namespace {
 /// ones degrade to on-the-fly computation instead of exhausting memory.
 constexpr std::size_t DenseTableCap = 2048;
 
+/// pathDist over two label-id sequences (the interner's ids or a
+/// cache's local ids); \p LabelSim gives the similarity of two label ids.
+template <class LabelSimFn>
+double pathDistOver(const std::vector<std::uint32_t> &A,
+                    const std::vector<std::uint32_t> &B,
+                    const LabelSimFn &LabelSim) {
+  std::size_t N = std::min(A.size(), B.size());
+  std::size_t Prefix = 0;
+  while (Prefix < N && A[Prefix] == B[Prefix])
+    ++Prefix;
+  if (Prefix == A.size() && Prefix == B.size())
+    return 0.0; // identical paths, including two empty ones
+  double Credit = static_cast<double>(Prefix);
+  // Partial credit for the first diverging pair of labels, when both
+  // paths still have one.
+  if (Prefix < A.size() && Prefix < B.size())
+    Credit += LabelSim(A[Prefix], B[Prefix]);
+  return 1.0 - Credit / static_cast<double>(std::max(A.size(), B.size()));
+}
+
+/// pathsDist over two path-id sets; \p PathDist gives pathDist of two
+/// path ids.
+template <class PathDistFn>
+double pathsDistOver(const std::vector<std::uint32_t> &F1,
+                     const std::vector<std::uint32_t> &F2,
+                     const PathDistFn &PathDist) {
+  // Bit-exact shortcuts around the assignment solver. Equal id vectors
+  // (ids are structural, so equal feature sets) admit the all-zero
+  // diagonal matching, and a sum of exact zeros is 0.0; one empty side
+  // makes every row cost exactly 1.0, and (1.0 * N) / N is exactly 1.0.
+  // Both match what the solver returns.
+  if (F1 == F2)
+    return 0.0;
+  if (F1.empty() || F2.empty())
+    return 1.0;
+  std::size_t N = std::max(F1.size(), F2.size());
+  // Per-thread scratch: the solver runs once per usage-change pair, so
+  // reallocation (not arithmetic) would dominate the matrix build.
+  thread_local CostMatrix Costs(0, 0);
+  thread_local AssignmentWorkspace Scratch;
+  Costs.reset(N, N);
+  for (std::size_t R = 0; R < N; ++R)
+    for (std::size_t C = 0; C < N; ++C) {
+      if (R < F1.size() && C < F2.size())
+        Costs.at(R, C) = PathDist(F1[R], F2[C]);
+      else
+        Costs.at(R, C) = 1.0; // unmatched path pairs with the empty path
+    }
+  Assignment Result = solveAssignment(Costs, Scratch);
+  return Result.TotalCost / static_cast<double>(N);
+}
+
 } // namespace
+
+double diffcode::cluster::labelSimilarity(const support::Interner &Table,
+                                          LabelId A, LabelId B) {
+  return levenshteinRatio(Table.unitsOf(A), Table.unitsOf(B));
+}
+
+double diffcode::cluster::pathDist(const support::Interner &Table, PathId A,
+                                   PathId B) {
+  return pathDistOver(Table.labelsOf(A), Table.labelsOf(B),
+                      [&Table](LabelId X, LabelId Y) {
+                        return labelSimilarity(Table, X, Y);
+                      });
+}
+
+double diffcode::cluster::pathsDist(const support::Interner &Table,
+                                    const std::vector<PathId> &F1,
+                                    const std::vector<PathId> &F2) {
+  return pathsDistOver(F1, F2, [&Table](PathId A, PathId B) {
+    return pathDist(Table, A, B);
+  });
+}
+
+double diffcode::cluster::usageDist(const UsageChange &C1,
+                                    const UsageChange &C2) {
+  // A change without features may carry no table; pathDist only runs
+  // when both sides have paths, and then both have one.
+  const support::Interner *Table = C1.Table ? C1.Table : C2.Table;
+  auto PathDist = [Table](PathId A, PathId B) {
+    return pathDist(*Table, A, B);
+  };
+  return (pathsDistOver(C1.Removed, C2.Removed, PathDist) +
+          pathsDistOver(C1.Added, C2.Added, PathDist)) /
+         2.0;
+}
 
 UsageDistCache::UsageDistCache(const std::vector<UsageChange> &Changes,
                                support::ThreadPool *Pool) {
@@ -146,58 +231,16 @@ double UsageDistCache::labelSim(std::uint32_t A, std::uint32_t B) const {
   return levenshteinRatio(*Units[A], *Units[B]);
 }
 
-// Mirrors pathDist (cluster/Distance.cpp) over interned ids.
 double UsageDistCache::pathDistById(std::uint32_t A, std::uint32_t B) const {
-  if (A == B)
-    return 0.0;
-  const std::vector<std::uint32_t> &PA = PathLabels[A];
-  const std::vector<std::uint32_t> &PB = PathLabels[B];
-  std::size_t MaxLen = std::max(PA.size(), PB.size());
-  std::size_t N = std::min(PA.size(), PB.size());
-  std::size_t Prefix = 0;
-  while (Prefix < N && PA[Prefix] == PB[Prefix])
-    ++Prefix;
-  double Credit = static_cast<double>(Prefix);
-  if (Prefix < PA.size() && Prefix < PB.size())
-    Credit += labelSim(PA[Prefix], PB[Prefix]);
-  return 1.0 - Credit / static_cast<double>(MaxLen);
+  return pathDistOver(
+      PathLabels[A], PathLabels[B],
+      [this](std::uint32_t X, std::uint32_t Y) { return labelSim(X, Y); });
 }
 
 double UsageDistCache::pathDistCached(std::uint32_t A, std::uint32_t B) const {
   if (!PathDistTable.empty())
     return PathDistTable[static_cast<std::size_t>(A) * PathLabels.size() + B];
   return pathDistById(A, B);
-}
-
-// Mirrors pathsDist (cluster/Distance.cpp) over interned ids.
-double
-UsageDistCache::pathsDistById(const std::vector<std::uint32_t> &F1,
-                              const std::vector<std::uint32_t> &F2) const {
-  if (F1.empty() && F2.empty())
-    return 0.0;
-  // Bit-exact shortcuts around the assignment solver. Equal id vectors
-  // admit the all-zero diagonal matching, and a sum of exact zeros is
-  // 0.0; one empty side makes every row cost exactly 1.0, and
-  // (1.0 * N) / N is exactly 1.0. Both match what the solver returns.
-  if (F1 == F2)
-    return 0.0;
-  if (F1.empty() || F2.empty())
-    return 1.0;
-  std::size_t N = std::max(F1.size(), F2.size());
-  // Per-thread scratch: the solver runs once per usage-change pair, so
-  // reallocation (not arithmetic) would dominate the matrix build.
-  thread_local CostMatrix Costs(0, 0);
-  thread_local AssignmentWorkspace Scratch;
-  Costs.reset(N, N);
-  for (std::size_t R = 0; R < N; ++R)
-    for (std::size_t C = 0; C < N; ++C) {
-      if (R < F1.size() && C < F2.size())
-        Costs.at(R, C) = pathDistCached(F1[R], F2[C]);
-      else
-        Costs.at(R, C) = 1.0; // unmatched path pairs with the empty path
-    }
-  Assignment Result = solveAssignment(Costs, Scratch);
-  return Result.TotalCost / static_cast<double>(N);
 }
 
 double UsageDistCache::operator()(std::size_t I, std::size_t J) const {
@@ -208,7 +251,10 @@ double UsageDistCache::operator()(std::size_t I, std::size_t J) const {
     std::swap(I, J);
   const InternedChange &A = Interned[I];
   const InternedChange &B = Interned[J];
-  return (pathsDistById(A.Removed, B.Removed) +
-          pathsDistById(A.Added, B.Added)) /
+  auto PathDist = [this](std::uint32_t X, std::uint32_t Y) {
+    return pathDistCached(X, Y);
+  };
+  return (pathsDistOver(A.Removed, B.Removed, PathDist) +
+          pathsDistOver(A.Added, B.Added, PathDist)) /
          2.0;
 }

@@ -63,14 +63,6 @@ struct ShardingOptions {
   /// Threads over shards (each shard clusters serially inside its
   /// worker); resolved by support::resolveThreads.
   unsigned Threads = 1;
-  /// Per-shard dendrogram cut that elects representatives: one per flat
-  /// sub-cluster (its minimum item id). Smaller cuts mean more
-  /// representatives and a tighter cross-shard linkage estimate.
-  double RepresentativeCut = 0.4;
-  /// Cap on representatives elected per shard (largest sub-clusters
-  /// first); bounds the representative matrix at
-  /// (NumShards * MaxRepsPerShard)^2 doubles.
-  std::size_t MaxRepsPerShard = 64;
 };
 
 /// What the sharded engine did, for reports and benchmarks.

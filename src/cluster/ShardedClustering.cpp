@@ -15,6 +15,19 @@ using namespace diffcode;
 using namespace diffcode::cluster;
 using support::LabelId;
 
+namespace {
+
+/// Per-shard dendrogram cut that elects representatives: one per flat
+/// sub-cluster (its minimum item id). Smaller cuts mean more
+/// representatives and a tighter cross-shard linkage estimate.
+constexpr double RepresentativeCut = 0.4;
+/// Cap on representatives elected per shard (largest sub-clusters
+/// first); bounds the representative matrix at
+/// (NumShards * MaxRepsPerShard)^2 doubles.
+constexpr std::size_t MaxRepsPerShard = 64;
+
+} // namespace
+
 std::vector<LabelId> diffcode::cluster::shardKey(
     const usage::UsageChange &Change, unsigned KeyDepth) {
   const std::vector<support::PathId> *Side =
@@ -160,10 +173,8 @@ Dendrogram diffcode::cluster::clusterUsageChangesSharded(
       // sub-cluster at the representative cut, largest sub-clusters
       // first (cut() orders them), capped per shard.
       std::vector<std::vector<std::size_t>> Flat =
-          Results[Si].Tree.cut(SOpts.RepresentativeCut);
-      std::size_t Take = SOpts.MaxRepsPerShard == 0
-                             ? Flat.size()
-                             : std::min(SOpts.MaxRepsPerShard, Flat.size());
+          Results[Si].Tree.cut(RepresentativeCut);
+      std::size_t Take = std::min(MaxRepsPerShard, Flat.size());
       for (std::size_t C = 0; C < Take; ++C) {
         std::size_t MinLocal = *std::min_element(Flat[C].begin(), Flat[C].end());
         Results[Si].Reps.push_back(Items[MinLocal]);

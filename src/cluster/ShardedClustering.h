@@ -20,7 +20,7 @@
 ///   3. merges the shard dendrograms into one corpus dendrogram by
 ///      agglomerating the shards themselves, with cross-shard linkage
 ///      estimated as complete linkage over per-shard representatives
-///      (one per flat sub-cluster at ShardingOptions::RepresentativeCut)
+///      (one per flat sub-cluster at the representative cut)
 ///      under the same canonical (dist, min-rep, max-rep) tie-breaking
 ///      as the dense engine.
 ///

@@ -6,6 +6,7 @@
 #include "exec/Supervisor.h"
 #include "javaast/Parser.h"
 #include "obs/Observer.h"
+#include "support/ContentHash.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -46,6 +47,12 @@ bool core::changeStatusFromName(std::string_view Name, ChangeStatus &Out) {
     }
   }
   return false;
+}
+
+std::uint64_t core::classScopeKey(std::string_view TargetClass) {
+  support::ContentHash H;
+  H.bytes(TargetClass);
+  return H.H1;
 }
 
 std::size_t CorpusHealth::troubled() const {
@@ -267,24 +274,8 @@ DiffCode::analyzeChanges(const PipelineRequest &Request) const {
                     .count());
         }
       });
-  if (Obs) {
-    // Pool utilization. Everything except the batch count depends on
-    // scheduling (chunk claims, wall time), hence PerRun.
-    support::ThreadPool::Stats PS = Pool.statsSnapshot();
-    auto &R = *Reg;
-    R.counter("threadpool.batches").add(PS.Batches);
-    R.counter("threadpool.chunks", obs::Unit::None, obs::Stability::PerRun)
-        .add(PS.Chunks);
-    R.counter("threadpool.queue_wait_ns", obs::Unit::Nanoseconds,
-              obs::Stability::PerRun)
-        .add(PS.QueueWaitNs);
-    R.gauge("threadpool.threads", obs::Unit::None, obs::Stability::PerRun)
-        .set(Pool.threadCount());
-    auto &Busy = R.histogram("threadpool.worker_busy_ns",
-                             obs::Unit::Nanoseconds, obs::Stability::PerRun);
-    for (std::uint64_t Ns : PS.WorkerBusyNs)
-      Busy.record(Ns);
-  }
+  if (Obs)
+    obs::recordThreadPool(*Reg, Pool);
   return Records;
 }
 
@@ -309,12 +300,7 @@ void DiffCode::clusterClass(ClassReport &Class) const {
   Class.Sharding = cluster::ShardingStats();
   if (Class.Filtered.Kept.empty())
     return;
-  // Scope key = class-name hash (FNV-1a), distinct from any change
-  // index scope so campaigns can target clustering alone.
-  std::uint64_t ClassKey = 0xcbf29ce484222325ull;
-  for (char C : Class.TargetClass)
-    ClassKey = (ClassKey ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-  support::FaultScope Scope(&Config.Faults, ClassKey);
+  support::FaultScope Scope(&Config.Faults, classScopeKey(Class.TargetClass));
   cluster::ClusteringOptions Engine{.Threads = Config.Clustering.Threads,
                                     .Sharding = Config.Sharding};
   try {

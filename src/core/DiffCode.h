@@ -67,9 +67,8 @@ struct ExecutionPolicy {
   /// WorkerCrash/WorkerTimeout/WorkerOom.
   unsigned MaxRetries = 2;
   /// Backoff before the Nth retry of a singleton unit:
-  /// min(BackoffBaseMs << (N-1), BackoffCapMs).
+  /// min(BackoffBaseMs << (N-1), 1000).
   std::uint64_t BackoffBaseMs = 10;
-  std::uint64_t BackoffCapMs = 1000;
   /// RLIMIT_AS for each worker in MiB (0 = unlimited). A worker that
   /// cannot allocate takes a distinguished exit, reported as WorkerOom.
   std::uint64_t WorkerMemoryLimitMb = 0;
@@ -276,6 +275,12 @@ struct PipelineRequest {
 /// \p MaxOffenders worst-offender entries). run() calls this;
 /// exposed for tests and for callers that post-edit reports.
 void computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders = 5);
+
+/// Fault scope of a class's clustering step: the FNV-1a hash of its
+/// name, distinct from any change-index scope so campaigns can target
+/// clustering alone. DiffCode::clusterClass and the session's
+/// incremental re-cluster both use it, so armed campaigns land alike.
+std::uint64_t classScopeKey(std::string_view TargetClass);
 
 /// The system facade.
 class DiffCode {

@@ -47,6 +47,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ceiling of the exponential retry backoff (ExecutionPolicy::
+/// BackoffBaseMs doubles per attempt up to here).
+constexpr std::uint64_t BackoffCapMs = 1000;
+
 void sleepMs(std::uint64_t Ms) {
   struct timespec Ts;
   Ts.tv_sec = static_cast<time_t>(Ms / 1000);
@@ -724,9 +728,8 @@ void Coordinator::handleDeath(WorkerSlot &S, support::ExitStatus ES,
   Retry.Attempt = Attempt;
   Retry.Indices = std::move(Remaining);
   std::uint64_t Backoff =
-      Attempt - 1 < 20 ? Policy.BackoffBaseMs << (Attempt - 1)
-                       : Policy.BackoffCapMs;
-  Backoff = std::min(Backoff, Policy.BackoffCapMs);
+      Attempt - 1 < 20 ? Policy.BackoffBaseMs << (Attempt - 1) : BackoffCapMs;
+  Backoff = std::min(Backoff, BackoffCapMs);
   Retry.ReadyAt = Now + std::chrono::milliseconds(Backoff);
   Queue.push_back(std::move(Retry));
   ++Stats.Retries;

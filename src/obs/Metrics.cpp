@@ -8,6 +8,7 @@
 #include "obs/Metrics.h"
 
 #include "support/JsonWriter.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <bit>
@@ -379,6 +380,21 @@ bool Snapshot::merge(const Snapshot &Other, std::string_view Prefix) {
 void Snapshot::markAllPerRun() {
   for (MetricValue &V : Values)
     V.S = Stability::PerRun;
+}
+
+void recordThreadPool(Registry &R, const support::ThreadPool &Pool) {
+  support::ThreadPool::Stats PS = Pool.statsSnapshot();
+  R.counter("threadpool.batches").add(PS.Batches);
+  R.counter("threadpool.chunks", Unit::None, Stability::PerRun)
+      .add(PS.Chunks);
+  R.counter("threadpool.queue_wait_ns", Unit::Nanoseconds, Stability::PerRun)
+      .add(PS.QueueWaitNs);
+  R.gauge("threadpool.threads", Unit::None, Stability::PerRun)
+      .set(Pool.threadCount());
+  Histogram &Busy = R.histogram("threadpool.worker_busy_ns",
+                                Unit::Nanoseconds, Stability::PerRun);
+  for (std::uint64_t Ns : PS.WorkerBusyNs)
+    Busy.record(Ns);
 }
 
 } // namespace obs

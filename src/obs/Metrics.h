@@ -46,6 +46,10 @@
 #include <vector>
 
 namespace diffcode {
+namespace support {
+class ThreadPool;
+} // namespace support
+
 namespace obs {
 
 /// What a registered metric is.
@@ -226,6 +230,11 @@ private:
   /// determinism for free).
   std::map<std::string, Entry, std::less<>> Entries;
 };
+
+/// Records \p Pool's utilization as threadpool.* metrics. Everything
+/// except the batch count depends on scheduling (chunk claims, wall
+/// time), hence PerRun.
+void recordThreadPool(Registry &R, const support::ThreadPool &Pool);
 
 } // namespace obs
 } // namespace diffcode

@@ -11,6 +11,8 @@
 using namespace diffcode;
 using namespace diffcode::rules;
 using namespace diffcode::usage;
+using support::LabelId;
+using support::PathId;
 
 namespace {
 
@@ -57,22 +59,40 @@ ArgConstraint constraintFromLabel(const NodeLabel &Label) {
   return C;
 }
 
-/// Extracts (method signature, optional arg constraint) from a feature
-/// path [root, method, arg?, ...]; nullopt for paths without a method.
-std::optional<CallPattern> patternFromPath(const FeaturePath &Path) {
-  if (Path.size() < 2 || Path[1].K != NodeLabel::Kind::Method)
+/// One feature path of a change, read label by label through the
+/// change's interner (no FeaturePath copy).
+struct PathView {
+  const support::Interner &Table;
+  const std::vector<LabelId> &Labels;
+
+  PathView(const UsageChange &Change, PathId Id)
+      : Table(*Change.Table), Labels(Change.Table->labelsOf(Id)) {}
+  std::size_t size() const { return Labels.size(); }
+  const NodeLabel &operator[](std::size_t I) const {
+    return Table.labelAt(Labels[I]);
+  }
+};
+
+/// Extracts (method signature, optional arg constraint) from the labels
+/// after position \p Anchor of a feature path, read as [anchor, method,
+/// arg?, ...]; nullopt when no method follows the anchor.
+std::optional<CallPattern> patternFromPath(const PathView &Path,
+                                           std::size_t Anchor = 0) {
+  if (Path.size() < Anchor + 2 ||
+      Path[Anchor + 1].K != NodeLabel::Kind::Method)
     return std::nullopt;
   CallPattern P;
   // DAG method labels are "Class.name" (no arity).
-  const std::string &Sig = Path[1].Text;
+  const std::string &Sig = Path[Anchor + 1].Text;
   std::size_t Dot = Sig.rfind('.');
   if (Dot == std::string::npos)
     return std::nullopt;
   P.ClassName = Sig.substr(0, Dot);
   P.MethodName = Sig.substr(Dot + 1);
   P.Arity = -1;
-  if (Path.size() >= 3 && Path[2].K == NodeLabel::Kind::Arg) {
-    ArgConstraint C = constraintFromLabel(Path[2]);
+  if (Path.size() >= Anchor + 3 &&
+      Path[Anchor + 2].K == NodeLabel::Kind::Arg) {
+    ArgConstraint C = constraintFromLabel(Path[Anchor + 2]);
     if (C.K != ArgConstraint::Kind::Any)
       P.Args.push_back(std::move(C));
     else
@@ -93,19 +113,17 @@ struct TypedPattern {
 /// Extracts the testable patterns of a feature path: the primary
 /// (root-level) one, plus a nested-object pattern when the path descends
 /// through an object-typed argument.
-std::vector<TypedPattern> typedPatternsFromPath(const FeaturePath &Path,
+std::vector<TypedPattern> typedPatternsFromPath(const PathView &Path,
                                                 const std::string &RootType) {
   std::vector<TypedPattern> Out;
   if (auto Primary = patternFromPath(Path))
     Out.push_back({RootType, std::move(*Primary)});
-  // Nested: [root, m1, arg:Type, m2, arg:v, ...].
+  // Nested: [root, m1, arg:Type, m2, arg:v, ...], anchored at arg:Type.
   if (Path.size() >= 4 && Path[2].K == NodeLabel::Kind::Arg &&
       !Path[2].ValueIsString && !Path[2].Text.empty() &&
       std::isupper(static_cast<unsigned char>(Path[2].Text[0])) &&
       Path[3].K == NodeLabel::Kind::Method) {
-    FeaturePath Nested(Path.begin() + 2, Path.end());
-    Nested[0] = NodeLabel::root(Path[2].Text);
-    if (auto Secondary = patternFromPath(Nested))
+    if (auto Secondary = patternFromPath(Path, 2))
       Out.push_back({Path[2].Text, std::move(*Secondary)});
   }
   return Out;
@@ -141,14 +159,16 @@ std::optional<Rule> diffcode::rules::suggestRule(const UsageChange &Change,
   std::map<std::string, std::vector<ObjectFormula>> ConjunctsByType;
   std::map<std::string, int> ExistsKeys; // contradiction pruning
 
-  for (const FeaturePath &Path : Change.removedPaths())
-    for (TypedPattern &TP : typedPatternsFromPath(Path, Change.TypeName)) {
+  for (PathId Id : Change.Removed)
+    for (TypedPattern &TP :
+         typedPatternsFromPath(PathView(Change, Id), Change.TypeName)) {
       ExistsKeys[patternKey(TP.TypeName, TP.Pattern)] = 1;
       ConjunctsByType[TP.TypeName].push_back(
           ObjectFormula::exists(std::move(TP.Pattern)));
     }
-  for (const FeaturePath &Path : Change.addedPaths())
-    for (TypedPattern &TP : typedPatternsFromPath(Path, Change.TypeName)) {
+  for (PathId Id : Change.Added)
+    for (TypedPattern &TP :
+         typedPatternsFromPath(PathView(Change, Id), Change.TypeName)) {
       // Skip a NotExists that contradicts an Exists with the same
       // pattern — the diff was not discriminating at this level.
       if (ExistsKeys.count(patternKey(TP.TypeName, TP.Pattern)))
@@ -205,10 +225,11 @@ struct Observation {
   CallPattern Pattern;
 };
 
-std::vector<Observation> observations(const std::vector<usage::FeaturePath> &Paths) {
+std::vector<Observation> observations(const UsageChange &Change,
+                                      const std::vector<PathId> &Paths) {
   std::vector<Observation> Out;
-  for (const usage::FeaturePath &Path : Paths)
-    if (auto Pattern = patternFromPath(Path))
+  for (PathId Id : Paths)
+    if (auto Pattern = patternFromPath(PathView(Change, Id)))
       Out.push_back({Pattern->ClassName + "." + Pattern->MethodName,
                      std::move(*Pattern)});
   return Out;
@@ -232,11 +253,11 @@ std::optional<Rule> diffcode::rules::suggestRuleForCluster(
     if (Member.TypeName != TypeName)
       return std::nullopt; // clusters are per-class; bail on mixtures
     std::map<std::string, CallPattern> MemberRemoved;
-    for (Observation &Obs : observations(Member.removedPaths()))
+    for (Observation &Obs : observations(Member, Member.Removed))
       MemberRemoved.emplace(Obs.Key, std::move(Obs.Pattern));
     for (auto &[Key, Pattern] : MemberRemoved)
       RemovedByKey[Key].push_back(Pattern);
-    for (Observation &Obs : observations(Member.addedPaths()))
+    for (Observation &Obs : observations(Member, Member.Added))
       AddedByKey[Obs.Key].push_back(std::move(Obs.Pattern));
   }
 

@@ -3,6 +3,7 @@
 #include "scan/Scanner.h"
 
 #include "rules/BuiltinRules.h"
+#include "support/ContentHash.h"
 #include "support/ThreadPool.h"
 
 #include <atomic>
@@ -22,14 +23,6 @@ core::PipelineConfig pipelineConfigFrom(const ScanConfig &Config) {
   Out.Limits.Parse = Config.Limits.Parse;
   Out.Limits.Analysis = Config.Limits.Analysis;
   return Out;
-}
-
-std::uint64_t fnv1a(std::string_view S, std::uint64_t H) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
 }
 
 } // namespace
@@ -59,8 +52,10 @@ Scanner::digest(std::string_view Code, bool Refine, bool UseCache,
                 std::uint64_t &Misses) const {
   UnitKey Key;
   if (UseCache) {
-    Key.H1 = fnv1a(Code, 0xcbf29ce484222325ull);
-    Key.H2 = fnv1a(Code, 0x84222325cbf29ce4ull);
+    support::ContentHash H;
+    H.bytes(Code);
+    Key.H1 = H.H1;
+    Key.H2 = H.H2;
     Key.Len = Code.size();
     Key.Refine = Refine;
     std::lock_guard<std::mutex> Lock(CacheMutex);
@@ -254,19 +249,7 @@ ScanReport Scanner::scan(const ScanRequest &Request, ScanSink *Sink) const {
                              obs::Stability::PerRun);
     for (const ProjectScanRecord &Rec : Report.Projects)
       Wall.record(Rec.WallNanos);
-    support::ThreadPool::Stats PS = Pool.statsSnapshot();
-    R.counter("threadpool.batches").add(PS.Batches);
-    R.counter("threadpool.chunks", obs::Unit::None, obs::Stability::PerRun)
-        .add(PS.Chunks);
-    R.counter("threadpool.queue_wait_ns", obs::Unit::Nanoseconds,
-              obs::Stability::PerRun)
-        .add(PS.QueueWaitNs);
-    R.gauge("threadpool.threads", obs::Unit::None, obs::Stability::PerRun)
-        .set(Pool.threadCount());
-    auto &Busy = R.histogram("threadpool.worker_busy_ns",
-                             obs::Unit::Nanoseconds, obs::Stability::PerRun);
-    for (std::uint64_t Ns : PS.WorkerBusyNs)
-      Busy.record(Ns);
+    obs::recordThreadPool(R, Pool);
     Report.Metrics = Obs->summarize();
   }
   return Report;

@@ -2,8 +2,9 @@
 
 #include "service/AnalysisSession.h"
 
-#include "cluster/Distance.h"
+#include "cluster/DistanceCache.h"
 #include "core/ReportWriter.h"
+#include "support/ContentHash.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -47,16 +48,6 @@ struct AnalysisSession::ClassState {
 
 namespace {
 
-/// FNV-1a-style scope key for a class name — the exact expression
-/// DiffCode::clusterClass uses, so the incremental cluster step evaluates
-/// fault points under the identical scope.
-std::uint64_t classScopeKey(const std::string &Name) {
-  std::uint64_t Key = 0xcbf29ce484222325ull;
-  for (char C : Name)
-    Key = (Key ^ static_cast<unsigned char>(C)) * 0x100000001b3ull;
-  return Key;
-}
-
 /// Strips everything a cache hit must re-stamp: provenance and the
 /// ground-truth label are properties of the *occurrence*, not the
 /// content.
@@ -86,7 +77,6 @@ std::uint64_t configFingerprint(const core::PipelineConfig &Config) {
   Fold(Config.Limits.Parse.MaxNestingDepth);
   Fold(static_cast<std::uint64_t>(Config.Limits.Analysis.Abstraction));
   Fold(Config.Limits.Analysis.MaxStatesPerEntry);
-  Fold(Config.Limits.Analysis.MaxInlineDepth);
   Fold(Config.Limits.Analysis.Fuel);
   Fold(Config.Limits.Analysis.MaxObjects);
   Fold(Config.Limits.DagDepth);
@@ -142,37 +132,17 @@ AnalysisSession::keyFor(const corpus::CodeChange &Change) const {
   CacheKey K;
   K.OldLen = Change.OldCode.size();
   K.NewLen = Change.NewCode.size();
-  // Two byte-wise hashes from different families (FNV-1a and a
-  // golden-ratio multiply) over the same framed input. FNV variants that
-  // differ only in seed collide together, so the second hash must mix
-  // differently, not just start differently.
-  std::uint64_t H1 = 0xcbf29ce484222325ull ^ support::faultMix(ConfigFingerprint);
-  std::uint64_t H2 =
-      0x9e3779b97f4a7c15ull ^ support::faultMix(ConfigFingerprint + 1);
-  auto Feed = [&H1, &H2](std::uint64_t Word) {
-    for (unsigned I = 0; I < 8; ++I) {
-      std::uint8_t Byte = (Word >> (I * 8)) & 0xff;
-      H1 = (H1 ^ Byte) * 0x100000001b3ull;
-      H2 = (H2 ^ Byte) * 0x9e3779b97f4a7c15ull + 0x7f4a7c15ull;
-    }
-  };
-  auto FeedBytes = [&H1, &H2](const std::string &S) {
-    for (unsigned char Byte : S) {
-      H1 = (H1 ^ Byte) * 0x100000001b3ull;
-      H2 = (H2 ^ Byte) * 0x9e3779b97f4a7c15ull + 0x7f4a7c15ull;
-    }
-  };
-  Feed(K.OldLen);
-  FeedBytes(Change.OldCode);
-  Feed(K.NewLen);
-  FeedBytes(Change.NewCode);
+  // Both hashes over the length-framed old and new sources.
+  support::ContentHash H(ConfigFingerprint);
+  H.word(K.OldLen);
+  H.bytes(Change.OldCode);
+  H.word(K.NewLen);
+  H.bytes(Change.NewCode);
   // The collision campaign: under an armed ServiceHash site the primary
   // hash collapses to a constant and every entry lands in one H1 bucket —
   // the full key must still discriminate via H2 + lengths.
-  if (support::faultPoint(support::FaultSite::ServiceHash, H1))
-    H1 = 0;
-  K.H1 = H1;
-  K.H2 = H2;
+  K.H1 = support::faultPoint(support::FaultSite::ServiceHash, H.H1) ? 0 : H.H1;
+  K.H2 = H.H2;
   return K;
 }
 
@@ -393,7 +363,7 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
   // (with CachingSafe only disarmed-or-ServiceHash plans reach here, so
   // the scope is inert — kept for exactness).
   support::FaultScope Scope(&Opts.Config.Faults,
-                            classScopeKey(Class.TargetClass));
+                            core::classScopeKey(Class.TargetClass));
   try {
     Class.Tree = cluster::agglomerateDistanceMatrix(N, std::move(Matrix));
   } catch (const std::exception &E) {

@@ -114,16 +114,6 @@ const std::vector<std::string> &Interner::unitsOf(LabelId Id) const {
   return Units[Id];
 }
 
-FeaturePath Interner::materialize(PathId Id) const {
-  std::shared_lock<std::shared_mutex> Lock(Mutex);
-  FeaturePath Out;
-  const std::vector<LabelId> &Ids = Paths[Id];
-  Out.reserve(Ids.size());
-  for (LabelId L : Ids)
-    Out.push_back(Labels[L]);
-  return Out;
-}
-
 std::string Interner::pathString(PathId Id) const {
   std::shared_lock<std::shared_mutex> Lock(Mutex);
   std::string Out;

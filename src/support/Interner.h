@@ -100,9 +100,6 @@ public:
   /// other values are atomic). Computed once at intern time.
   const std::vector<std::string> &unitsOf(LabelId Id) const;
 
-  /// Rebuilds the owning FeaturePath (display/compat use only).
-  usage::FeaturePath materialize(PathId Id) const;
-
   /// Display form: the labels' NodeLabel::str() joined by single spaces,
   /// e.g. "Cipher Cipher.getInstance arg1:AES".
   std::string pathString(PathId Id) const;
@@ -114,8 +111,8 @@ public:
   /// lookup maps) for the memory benchmark.
   std::size_t memoryBytes() const;
 
-  /// Splits \p Label into the clustering metric's Levenshtein units; the
-  /// single source of truth also used by cluster::labelUnits.
+  /// Splits \p Label into the clustering metric's Levenshtein units
+  /// (the split unitsOf returns).
   static std::vector<std::string> labelUnits(const usage::NodeLabel &Label);
 
 private:

@@ -13,42 +13,6 @@ using support::Interner;
 using support::LabelId;
 using support::PathId;
 
-bool UsageChange::sameFeatures(const UsageChange &Other) const {
-  if (TypeName != Other.TypeName)
-    return false;
-  if (Table == Other.Table)
-    return Removed == Other.Removed && Added == Other.Added;
-  // Different tables (e.g. the parallel-vs-serial differential harness
-  // compares two independent pipelines): id values are not comparable,
-  // fall back to structural equality.
-  auto SamePaths = [&](const std::vector<PathId> &A,
-                       const std::vector<PathId> &B) {
-    if (A.size() != B.size())
-      return false;
-    for (std::size_t I = 0; I < A.size(); ++I)
-      if (Table->materialize(A[I]) != Other.Table->materialize(B[I]))
-        return false;
-    return true;
-  };
-  return SamePaths(Removed, Other.Removed) && SamePaths(Added, Other.Added);
-}
-
-std::vector<FeaturePath> UsageChange::removedPaths() const {
-  std::vector<FeaturePath> Out;
-  Out.reserve(Removed.size());
-  for (PathId Id : Removed)
-    Out.push_back(Table->materialize(Id));
-  return Out;
-}
-
-std::vector<FeaturePath> UsageChange::addedPaths() const {
-  std::vector<FeaturePath> Out;
-  Out.reserve(Added.size());
-  for (PathId Id : Added)
-    Out.push_back(Table->materialize(Id));
-  return Out;
-}
-
 std::string UsageChange::pathString(PathId Id) const {
   return Table->pathString(Id);
 }

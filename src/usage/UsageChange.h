@@ -46,17 +46,6 @@ struct UsageChange {
 
   bool isEmpty() const { return Removed.empty() && Added.empty(); }
 
-  /// Equality over features only (provenance excluded) — this is the
-  /// notion the fdup filter uses. Integer compares when both changes
-  /// share one interner; structural comparison across tables (id values
-  /// are assignment-order dependent and never comparable across runs).
-  bool sameFeatures(const UsageChange &Other) const;
-
-  /// Materialised copies of F- / F+ for consumers that need the label
-  /// structure (rule suggestion, display).
-  std::vector<FeaturePath> removedPaths() const;
-  std::vector<FeaturePath> addedPaths() const;
-
   /// Display form of one interned path of this change.
   std::string pathString(support::PathId Id) const;
 

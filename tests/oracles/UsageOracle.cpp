@@ -150,3 +150,44 @@ bool diffcode::usage::referenceIsomorphic(const UsageDag &A,
                                           const UsageDag &B) {
   return canonical(A, A.root()) == canonical(B, B.root());
 }
+
+FeaturePath diffcode::usage::materialize(const support::Interner &Table,
+                                         support::PathId Id) {
+  FeaturePath Out;
+  for (support::LabelId Label : Table.labelsOf(Id))
+    Out.push_back(Table.labelAt(Label));
+  return Out;
+}
+
+namespace {
+
+/// \p Table may be null when \p Ids is empty (a change with no features).
+std::vector<FeaturePath> materializeAll(const support::Interner *Table,
+                                        const std::vector<support::PathId> &Ids) {
+  std::vector<FeaturePath> Out;
+  Out.reserve(Ids.size());
+  for (support::PathId Id : Ids)
+    Out.push_back(materialize(*Table, Id));
+  return Out;
+}
+
+} // namespace
+
+std::vector<FeaturePath>
+diffcode::usage::materializeRemoved(const UsageChange &Change) {
+  return materializeAll(Change.Table, Change.Removed);
+}
+
+std::vector<FeaturePath>
+diffcode::usage::materializeAdded(const UsageChange &Change) {
+  return materializeAll(Change.Table, Change.Added);
+}
+
+bool diffcode::usage::sameFeatures(const UsageChange &A, const UsageChange &B) {
+  if (A.TypeName != B.TypeName)
+    return false;
+  if (A.Table == B.Table)
+    return A.Removed == B.Removed && A.Added == B.Added;
+  return materializeRemoved(A) == materializeRemoved(B) &&
+         materializeAdded(A) == materializeAdded(B);
+}

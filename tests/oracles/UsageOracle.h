@@ -12,12 +12,15 @@
 /// and operator<), never through rendered strings and never through an
 /// interner: Paths, Shortest, Removed and the IoU pairing straight from
 /// their Section 3.5 definitions, plus DAG isomorphism by canonical form.
+/// The materializers at the end turn an interned change back into owned
+/// paths, so tests can compare it with these references.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef DIFFCODE_ORACLES_USAGEORACLE_H
 #define DIFFCODE_ORACLES_USAGEORACLE_H
 
+#include "usage/UsageChange.h"
 #include "usage/UsageDag.h"
 
 #include <string>
@@ -65,6 +68,19 @@ referenceUsageChanges(const std::vector<UsageDag> &Old,
 /// Isomorphism by canonical form: each node's label followed by its
 /// children's canonical forms in sorted order.
 bool referenceIsomorphic(const UsageDag &A, const UsageDag &B);
+
+/// Rebuilds the owning FeaturePath behind \p Id.
+FeaturePath materialize(const support::Interner &Table, support::PathId Id);
+
+/// Materialized copies of a change's F- / F+.
+std::vector<FeaturePath> materializeRemoved(const UsageChange &Change);
+std::vector<FeaturePath> materializeAdded(const UsageChange &Change);
+
+/// Equality over features only (provenance excluded), the notion the
+/// fdup filter uses: integer compares when both changes share one
+/// interner, structural comparison across tables (id values depend on
+/// assignment order and are never comparable across runs).
+bool sameFeatures(const UsageChange &A, const UsageChange &B);
 
 } // namespace usage
 } // namespace diffcode

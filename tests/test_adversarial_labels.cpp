@@ -90,7 +90,7 @@ TEST(AdversarialLabels, PathStringRoundTripsEveryHostileConstant) {
     FeaturePath Path = pathFor(Algo);
     support::PathId Id = table().path(Path);
     EXPECT_EQ(table().pathString(Id), pathToString(Path)) << Algo;
-    FeaturePath Back = table().materialize(Id);
+    FeaturePath Back = materialize(table(), Id);
     ASSERT_EQ(Back.size(), Path.size());
     for (std::size_t I = 0; I < Back.size(); ++I)
       EXPECT_TRUE(Back[I] == Path[I]) << Algo;

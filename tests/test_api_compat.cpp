@@ -20,7 +20,10 @@
 /// without an interner), run() is the one pipeline entry point (no
 /// runPipelineFrom seam), the execution policy and observer are set on
 /// the PipelineRequest only, and NN-chain is the only clustering engine
-/// (no algorithm knob).
+/// (no algorithm knob). Knobs that no caller ever set are named
+/// constants, not options: the sharded engine's representative cut and
+/// per-shard representative cap, the interpreter's inlining depth, and
+/// the supervisor's backoff ceiling.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -93,6 +96,18 @@ concept HasMetrics = requires(Config &C) { C.Metrics; };
 template <typename Options>
 concept HasAlgo = requires(Options &O) { O.Algo; };
 
+template <typename Options>
+concept HasRepresentativeCut = requires(Options &O) { O.RepresentativeCut; };
+
+template <typename Options>
+concept HasMaxRepsPerShard = requires(Options &O) { O.MaxRepsPerShard; };
+
+template <typename Options>
+concept HasMaxInlineDepth = requires(Options &O) { O.MaxInlineDepth; };
+
+template <typename Policy>
+concept HasBackoffCapMs = requires(Policy &P) { P.BackoffCapMs; };
+
 } // namespace
 
 // Removal probe for the struct itself: a sentinel is using-declared into
@@ -141,6 +156,20 @@ TEST(ApiCompat, DeprecatedSpellingsAreGone) {
                     !HasAlgo<PipelineConfig::ClusteringGroup>,
                 "NN-chain is the only clustering engine; the naive "
                 "reference lives in tests/oracles");
+  SUCCEED();
+}
+
+TEST(ApiCompat, UnsetKnobsAreConstants) {
+  static_assert(!HasRepresentativeCut<cluster::ShardingOptions> &&
+                    !HasMaxRepsPerShard<cluster::ShardingOptions>,
+                "the representative cut (0.4) and the per-shard cap (64) are "
+                "constants of cluster/ShardedClustering.cpp");
+  static_assert(!HasMaxInlineDepth<analysis::AnalysisOptions>,
+                "the inlining depth (4) is a constant of "
+                "analysis/AbstractInterpreter.cpp");
+  static_assert(!HasBackoffCapMs<ExecutionPolicy>,
+                "the retry backoff ceiling (1000 ms) is a constant of "
+                "exec/Supervisor.cpp");
   SUCCEED();
 }
 

@@ -2,7 +2,7 @@
 
 #include "cluster/HierarchicalClustering.h"
 
-#include "cluster/Distance.h"
+#include "cluster/DistanceCache.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>

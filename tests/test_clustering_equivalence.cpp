@@ -14,7 +14,6 @@
 
 #include "cluster/HierarchicalClustering.h"
 
-#include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "oracles/NaiveClustering.h"
 #include "support/Rng.h"

@@ -86,9 +86,9 @@ TEST(DiffCodeE2E, Figure2UsageChange) {
   ASSERT_EQ(Changes.size(), 2u);
 
   std::set<std::string> RemovedStrs, AddedStrs;
-  for (const usage::FeaturePath &P : Changes[0].removedPaths())
+  for (const usage::FeaturePath &P : materializeRemoved(Changes[0]))
     RemovedStrs.insert(usage::pathToString(P));
-  for (const usage::FeaturePath &P : Changes[0].addedPaths())
+  for (const usage::FeaturePath &P : materializeAdded(Changes[0]))
     AddedStrs.insert(usage::pathToString(P));
 
   // Figure 2(d): the exact removed and added features.
@@ -320,8 +320,8 @@ TEST(DiffCodeE2E, PipelineDeterminism) {
   ASSERT_EQ(A.PerClass[0].Filtered.Kept.size(),
             B.PerClass[0].Filtered.Kept.size());
   for (std::size_t I = 0; I < A.PerClass[0].Filtered.Kept.size(); ++I)
-    EXPECT_TRUE(A.PerClass[0].Filtered.Kept[I].sameFeatures(
-        B.PerClass[0].Filtered.Kept[I]));
+    EXPECT_TRUE(usage::sameFeatures(A.PerClass[0].Filtered.Kept[I],
+                                    B.PerClass[0].Filtered.Kept[I]));
 }
 
 TEST(DiffCodeE2E, ParallelPipelineMatchesSerial) {
@@ -354,8 +354,8 @@ TEST(DiffCodeE2E, ParallelPipelineMatchesSerial) {
     ASSERT_EQ(A.PerClass[I].Filtered.Kept.size(),
               B.PerClass[I].Filtered.Kept.size());
     for (std::size_t J = 0; J < A.PerClass[I].Filtered.Kept.size(); ++J)
-      EXPECT_TRUE(A.PerClass[I].Filtered.Kept[J].sameFeatures(
-          B.PerClass[I].Filtered.Kept[J]));
+      EXPECT_TRUE(usage::sameFeatures(A.PerClass[I].Filtered.Kept[J],
+                                      B.PerClass[I].Filtered.Kept[J]));
   }
 }
 

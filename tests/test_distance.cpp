@@ -1,8 +1,16 @@
 //===- tests/test_distance.cpp - Clustering metric tests (Section 4.3) -----===//
-
-#include "cluster/Distance.h"
+//
+// The semantic cases exercise the production metric over interned ids
+// (cluster/DistanceCache.h); the random property cases also hold it, and
+// the memoised cache, bit for bit to the string-space reference in
+// tests/oracles/DistanceOracle.
+//
+//===----------------------------------------------------------------------===//
 
 #include "cluster/DistanceCache.h"
+
+#include "oracles/DistanceOracle.h"
+#include "oracles/UsageOracle.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +19,8 @@ using namespace diffcode;
 using namespace diffcode::analysis;
 using namespace diffcode::cluster;
 using namespace diffcode::usage;
+using support::LabelId;
+using support::PathId;
 
 namespace {
 
@@ -30,6 +40,29 @@ FeaturePath cipherGet(const char *Algo) {
 support::Interner &table() {
   static support::Interner Table;
   return Table;
+}
+
+LabelId lid(const NodeLabel &Label) { return table().label(Label); }
+PathId pid(const FeaturePath &Path) { return table().path(Path); }
+std::vector<PathId> pids(const std::vector<FeaturePath> &Paths) {
+  std::vector<PathId> Out;
+  for (const FeaturePath &Path : Paths)
+    Out.push_back(pid(Path));
+  return Out;
+}
+
+const std::vector<std::string> &units(const NodeLabel &Label) {
+  return table().unitsOf(lid(Label));
+}
+double similarity(const NodeLabel &A, const NodeLabel &B) {
+  return labelSimilarity(table(), lid(A), lid(B));
+}
+double dist(const FeaturePath &A, const FeaturePath &B) {
+  return pathDist(table(), pid(A), pid(B));
+}
+double setDist(const std::vector<FeaturePath> &F1,
+               const std::vector<FeaturePath> &F2) {
+  return pathsDist(table(), pids(F1), pids(F2));
 }
 
 UsageChange change(const std::vector<FeaturePath> &Removed,
@@ -64,12 +97,12 @@ FeaturePath randomPath(Rng &R) {
 //===----------------------------------------------------------------------===//
 
 TEST(LabelUnits, MethodIsSingleUnit) {
-  EXPECT_EQ(labelUnits(methodL("Cipher.getInstance/1")).size(), 1u);
-  EXPECT_EQ(labelUnits(rootL("Cipher")).size(), 1u);
+  EXPECT_EQ(units(methodL("Cipher.getInstance/1")).size(), 1u);
+  EXPECT_EQ(units(rootL("Cipher")).size(), 1u);
 }
 
 TEST(LabelUnits, StringArgSplitsPerCharacter) {
-  std::vector<std::string> Units = labelUnits(strArg(1, "AES"));
+  const std::vector<std::string> &Units = units(strArg(1, "AES"));
   // arg marker + 3 characters.
   ASSERT_EQ(Units.size(), 4u);
   EXPECT_EQ(Units[0], "arg1");
@@ -77,10 +110,9 @@ TEST(LabelUnits, StringArgSplitsPerCharacter) {
 }
 
 TEST(LabelUnits, AtomicArgIsTwoUnits) {
-  EXPECT_EQ(labelUnits(atomArg(2, AbstractValue::byteArrayTop())).size(), 2u);
+  EXPECT_EQ(units(atomArg(2, AbstractValue::byteArrayTop())).size(), 2u);
   EXPECT_EQ(
-      labelUnits(atomArg(1, AbstractValue::intConst(1, "ENCRYPT_MODE")))
-          .size(),
+      units(atomArg(1, AbstractValue::intConst(1, "ENCRYPT_MODE"))).size(),
       2u);
 }
 
@@ -88,19 +120,16 @@ TEST(LabelSimilarity, DifferentMethodsScoreZero) {
   // "it takes 1 modification to change any method signature to a
   // different one" -> ratio 1 - 1/1 = 0.
   EXPECT_DOUBLE_EQ(
-      labelSimilarity(methodL("Cipher.init/2"), methodL("Cipher.doFinal/1")),
-      0.0);
+      similarity(methodL("Cipher.init/2"), methodL("Cipher.doFinal/1")), 0.0);
   // Arity is stripped from method labels, so two overloads coincide.
-  EXPECT_DOUBLE_EQ(labelSimilarity(methodL("Cipher.init/2"),
-                                   methodL("Cipher.init/3")),
-                   1.0);
+  EXPECT_DOUBLE_EQ(
+      similarity(methodL("Cipher.init/2"), methodL("Cipher.init/3")), 1.0);
 }
 
 TEST(LabelSimilarity, SimilarStringsScoreHigh) {
-  double Close = labelSimilarity(strArg(1, "AES/CBC/PKCS5Padding"),
-                                 strArg(1, "AES/CBC/NoPadding"));
-  double Far = labelSimilarity(strArg(1, "AES/CBC/PKCS5Padding"),
-                               strArg(1, "RC4"));
+  double Close = similarity(strArg(1, "AES/CBC/PKCS5Padding"),
+                            strArg(1, "AES/CBC/NoPadding"));
+  double Far = similarity(strArg(1, "AES/CBC/PKCS5Padding"), strArg(1, "RC4"));
   EXPECT_GT(Close, Far);
   EXPECT_GT(Close, 0.5);
 }
@@ -111,7 +140,7 @@ TEST(LabelSimilarity, SimilarStringsScoreHigh) {
 
 TEST(PathDist, IdenticalIsZero) {
   FeaturePath P = cipherGet("AES");
-  EXPECT_DOUBLE_EQ(pathDist(P, P), 0.0);
+  EXPECT_DOUBLE_EQ(dist(P, P), 0.0);
 }
 
 TEST(PathDist, SharedPrefixReducesDistance) {
@@ -119,21 +148,32 @@ TEST(PathDist, SharedPrefixReducesDistance) {
   FeaturePath B = cipherGet("DES");
   FeaturePath C = {rootL("Mac"), methodL("Mac.getInstance/1"),
                    strArg(1, "HmacSHA256")};
-  EXPECT_LT(pathDist(A, B), pathDist(A, C));
+  EXPECT_LT(dist(A, B), dist(A, C));
 }
 
 TEST(PathDist, PrefixPathCloserThanUnrelated) {
   FeaturePath Long = cipherGet("AES");
   FeaturePath Short = {rootL("Cipher"), methodL("Cipher.getInstance/1")};
-  double D = pathDist(Long, Short);
+  double D = dist(Long, Short);
   // Common prefix 2 of max length 3.
   EXPECT_DOUBLE_EQ(D, 1.0 - 2.0 / 3.0);
 }
 
+TEST(PathDist, FirstDivergingLabelsEarnPartialCredit) {
+  // Prefix 2, then arg1:AES vs arg1:AEX: units [arg1 A E S] vs
+  // [arg1 A E X] differ in one of four, so the pair adds 0.75.
+  EXPECT_DOUBLE_EQ(dist(cipherGet("AES"), cipherGet("AEX")),
+                   1.0 - (2.0 + 0.75) / 3.0);
+  // Labels of different kinds share no unit and earn nothing.
+  FeaturePath Method = {rootL("Cipher"), methodL("Cipher.getInstance/1"),
+                        methodL("Cipher.init/3")};
+  EXPECT_DOUBLE_EQ(dist(cipherGet("AES"), Method), 1.0 - 2.0 / 3.0);
+}
+
 TEST(PathDist, EmptyVsNonEmpty) {
   FeaturePath Empty;
-  EXPECT_DOUBLE_EQ(pathDist(Empty, Empty), 0.0);
-  EXPECT_DOUBLE_EQ(pathDist(Empty, cipherGet("AES")), 1.0);
+  EXPECT_DOUBLE_EQ(dist(Empty, Empty), 0.0);
+  EXPECT_DOUBLE_EQ(dist(Empty, cipherGet("AES")), 1.0);
 }
 
 class PathDistProperty : public ::testing::TestWithParam<int> {};
@@ -141,13 +181,17 @@ class PathDistProperty : public ::testing::TestWithParam<int> {};
 TEST_P(PathDistProperty, MetricShape) {
   Rng R(GetParam() * 131 + 7);
   FeaturePath A = randomPath(R), B = randomPath(R);
-  double AB = pathDist(A, B), BA = pathDist(B, A);
+  double AB = dist(A, B), BA = dist(B, A);
   EXPECT_DOUBLE_EQ(AB, BA);
   EXPECT_GE(AB, 0.0);
   EXPECT_LE(AB, 1.0);
-  EXPECT_DOUBLE_EQ(pathDist(A, A), 0.0);
-  if (AB == 0.0)
+  EXPECT_DOUBLE_EQ(dist(A, A), 0.0);
+  if (AB == 0.0) {
     EXPECT_EQ(A, B);
+  }
+  // Bit-exact agreement with the string-space reference.
+  EXPECT_EQ(AB, referencePathDist(A, B));
+  EXPECT_EQ(BA, referencePathDist(B, A));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathDistProperty, ::testing::Range(0, 50));
@@ -156,24 +200,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PathDistProperty, ::testing::Range(0, 50));
 // pathsDist
 //===----------------------------------------------------------------------===//
 
-TEST(PathsDist, BothEmptyIsZero) { EXPECT_DOUBLE_EQ(pathsDist({}, {}), 0.0); }
+TEST(PathsDist, BothEmptyIsZero) { EXPECT_DOUBLE_EQ(setDist({}, {}), 0.0); }
 
 TEST(PathsDist, OneEmptyIsOne) {
-  EXPECT_DOUBLE_EQ(pathsDist({cipherGet("AES")}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(pathsDist({}, {cipherGet("AES")}), 1.0);
+  EXPECT_DOUBLE_EQ(setDist({cipherGet("AES")}, {}), 1.0);
+  EXPECT_DOUBLE_EQ(setDist({}, {cipherGet("AES")}), 1.0);
 }
 
 TEST(PathsDist, MatchingIgnoresOrder) {
   std::vector<FeaturePath> F1 = {cipherGet("AES"), cipherGet("DES")};
   std::vector<FeaturePath> F2 = {cipherGet("DES"), cipherGet("AES")};
-  EXPECT_DOUBLE_EQ(pathsDist(F1, F2), 0.0);
+  EXPECT_DOUBLE_EQ(setDist(F1, F2), 0.0);
 }
 
 TEST(PathsDist, UnbalancedSetsPayPerExtraPath) {
   std::vector<FeaturePath> F1 = {cipherGet("AES")};
   std::vector<FeaturePath> F2 = {cipherGet("AES"), cipherGet("DES")};
   // One perfect match + one unmatched out of max 2.
-  EXPECT_DOUBLE_EQ(pathsDist(F1, F2), 0.5);
+  EXPECT_DOUBLE_EQ(setDist(F1, F2), 0.5);
 }
 
 TEST(PathsDist, PicksMinimalMatching) {
@@ -182,9 +226,11 @@ TEST(PathsDist, PicksMinimalMatching) {
                                  cipherGet("DES")};
   std::vector<FeaturePath> F2 = {cipherGet("DES/CBC"),
                                  cipherGet("AES/CBC/NoPadding")};
-  double D = pathsDist(F1, F2);
-  double Crosswise = (pathDist(F1[0], F2[0]) + pathDist(F1[1], F2[1])) / 2.0;
-  EXPECT_LE(D, Crosswise);
+  double D = setDist(F1, F2);
+  double Crosswise = (dist(F1[0], F2[0]) + dist(F1[1], F2[1])) / 2.0;
+  double Straight = (dist(F1[0], F2[1]) + dist(F1[1], F2[0])) / 2.0;
+  EXPECT_LT(Straight, Crosswise);
+  EXPECT_DOUBLE_EQ(D, Straight);
 }
 
 //===----------------------------------------------------------------------===//
@@ -236,13 +282,17 @@ TEST_P(UsageDistProperty, MetricShape) {
   EXPECT_GE(AB, 0.0);
   EXPECT_LE(AB, 1.0);
   EXPECT_DOUBLE_EQ(usageDist(A, A), 0.0);
+  // Bit-exact agreement with the string-space reference.
+  EXPECT_EQ(AB, referenceUsageDist(A, B));
+  EXPECT_EQ(usageDist(B, A), referenceUsageDist(B, A));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UsageDistProperty, ::testing::Range(0, 50));
 
 //===----------------------------------------------------------------------===//
 // UsageDistCache — the memoised engine path must be a bit-exact drop-in
-// for the direct usageDist computation, and keep its metric shape.
+// for the uncached usageDist and the string-space reference, and keep its
+// metric shape.
 //===----------------------------------------------------------------------===//
 
 class CachedUsageDistProperty : public ::testing::TestWithParam<int> {};
@@ -270,9 +320,12 @@ TEST_P(CachedUsageDistProperty, CacheIsExactlyUncached) {
       EXPECT_EQ(Cached, Cache(J, I)) << I << "," << J;
       EXPECT_GE(Cached, 0.0);
       EXPECT_LE(Cached, 1.0);
-      // Bit-exact agreement with the uncached metric (EXPECT_EQ on
-      // doubles is deliberate: the cache mirrors the same arithmetic).
+      // Bit-exact agreement with the uncached metric and the oracle
+      // (EXPECT_EQ on doubles is deliberate: the cache memoises the same
+      // arithmetic, and the oracle computes it over materialized paths).
       EXPECT_EQ(Cached, usageDist(Changes[I], Changes[J])) << I << "," << J;
+      EXPECT_EQ(Cached, referenceUsageDist(Changes[I], Changes[J]))
+          << I << "," << J;
     }
   }
 }

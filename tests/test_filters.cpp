@@ -2,6 +2,8 @@
 
 #include "core/Filters.h"
 
+#include "oracles/UsageOracle.h"
+
 #include <gtest/gtest.h>
 
 using namespace diffcode;
@@ -118,7 +120,7 @@ TEST(Filters, IdempotentOnKeptChanges) {
   EXPECT_EQ(Twice.Total, Once.Kept.size());
   EXPECT_EQ(Twice.Kept.size(), Once.Kept.size());
   for (std::size_t I = 0; I < Twice.Kept.size(); ++I)
-    EXPECT_TRUE(Twice.Kept[I].sameFeatures(Once.Kept[I]));
+    EXPECT_TRUE(sameFeatures(Twice.Kept[I], Once.Kept[I]));
 }
 
 TEST(Filters, OrderOfStagesMattersForAttribution) {

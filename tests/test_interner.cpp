@@ -9,7 +9,7 @@
 //   2. references returned by labelAt/labelsOf/unitsOf stay valid while
 //      other threads keep interning (arena stability);
 //   3. pathString(Id) is byte-identical to pathToString(materialize(Id));
-//   4. the precomputed Levenshtein units match cluster::labelUnits;
+//   4. the precomputed Levenshtein units match cluster::referenceLabelUnits;
 //   5. concurrent interning from many threads is safe and structural
 //      (ids may differ run to run, equality never does).
 //
@@ -17,7 +17,7 @@
 
 #include "support/Interner.h"
 
-#include "cluster/Distance.h"
+#include "oracles/DistanceOracle.h"
 #include "oracles/UsageOracle.h"
 
 #include <gtest/gtest.h>
@@ -81,7 +81,7 @@ TEST(Interner, MaterializeRoundTrips) {
   Interner Table;
   FeaturePath Original = figure2Path("AES/CBC/PKCS5Padding");
   PathId Id = Table.path(Original);
-  FeaturePath Back = Table.materialize(Id);
+  FeaturePath Back = materialize(Table, Id);
   ASSERT_EQ(Back.size(), Original.size());
   for (std::size_t I = 0; I < Back.size(); ++I)
     EXPECT_TRUE(Back[I] == Original[I]);
@@ -114,7 +114,7 @@ TEST(Interner, UnitsMatchClusterLabelUnits) {
   };
   for (const NodeLabel &Label : Labels) {
     LabelId Id = Table.label(Label);
-    EXPECT_EQ(Table.unitsOf(Id), cluster::labelUnits(Label));
+    EXPECT_EQ(Table.unitsOf(Id), cluster::referenceLabelUnits(Label));
   }
   // String constants split per character — the expensive part the table
   // precomputes once.
@@ -199,7 +199,7 @@ TEST(Interner, ChildAgreesWithPathOverload) {
     EXPECT_EQ(RG, Table.path({Root, Get}));
     EXPECT_EQ(Table.child(RG, Table.label(Aes)), Table.path({Root, Get, Aes}));
     EXPECT_EQ(Table.child(RI, Table.label(Aes)), Early);
-    EXPECT_EQ(Table.materialize(RI), (FeaturePath{Root, Init}));
+    EXPECT_EQ(materialize(Table, RI), (FeaturePath{Root, Init}));
     EXPECT_EQ(Table.pathCount(), 5u);
   }
 }

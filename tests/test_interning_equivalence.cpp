@@ -10,9 +10,9 @@
 //
 // The reference engine here is deliberately naive: it renders every
 // path with pathToString, filters on string tuples, and computes
-// distances with the string-space usageDist (Distance.h), which shares
-// no code with UsageDistCache's id-compacted tables beyond the unit
-// definitions. Agreement is checked on hand-built smoke changes and on
+// distances with the string-space referenceUsageDist
+// (oracles/DistanceOracle.h), which shares no code with the id metric
+// and UsageDistCache's id-compacted tables beyond the unit definitions. Agreement is checked on hand-built smoke changes and on
 // generated corpora, end-to-end through DiffCode::run at 1, 2, and 8
 // threads.
 //
@@ -20,12 +20,12 @@
 
 #include "core/DiffCode.h"
 
-#include "cluster/Distance.h"
 #include "cluster/DistanceCache.h"
 #include "cluster/HierarchicalClustering.h"
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
+#include "oracles/DistanceOracle.h"
 #include "oracles/NaiveClustering.h"
 #include "oracles/UsageOracle.h"
 #include "support/JsonWriter.h"
@@ -66,9 +66,9 @@ struct StringChange {
 StringChange render(const UsageChange &Change) {
   StringChange Out;
   Out.TypeName = Change.TypeName;
-  for (const FeaturePath &Path : Change.removedPaths())
+  for (const FeaturePath &Path : materializeRemoved(Change))
     Out.Removed.push_back(pathToString(Path));
-  for (const FeaturePath &Path : Change.addedPaths())
+  for (const FeaturePath &Path : materializeAdded(Change))
     Out.Added.push_back(pathToString(Path));
   return Out;
 }
@@ -202,7 +202,7 @@ TEST(InterningEquivalence, FiltersMatchStringReferenceOnRandomCorpora) {
 }
 
 //===----------------------------------------------------------------------===//
-// Distance: id-compacted cache vs string-space usageDist
+// Distance: the id metric, uncached and cached, vs string-space usageDist
 //===----------------------------------------------------------------------===//
 
 TEST(InterningEquivalence, DistanceCacheMatchesStringMetricExactly) {
@@ -211,8 +211,42 @@ TEST(InterningEquivalence, DistanceCacheMatchesStringMetricExactly) {
     cluster::UsageDistCache Cache(Changes);
     for (std::size_t I = 0; I < Changes.size(); ++I)
       for (std::size_t J = I; J < Changes.size(); ++J)
-        EXPECT_EQ(Cache(I, J), cluster::usageDist(Changes[I], Changes[J]))
+        EXPECT_EQ(Cache(I, J),
+                  cluster::referenceUsageDist(Changes[I], Changes[J]))
             << "seed " << Seed << " pair (" << I << "," << J << ")";
+  }
+}
+
+TEST(InterningEquivalence, MetricMatchesStringOracleOnGeneratedCorpora) {
+  // Every pair of every class's kept set, as the pipeline clusters it:
+  // the uncached id metric and the cache against the string reference.
+  for (std::uint64_t Seed : {42u, 7u, 2018u}) {
+    corpus::CorpusOptions Opts;
+    Opts.Seed = Seed;
+    Opts.NumProjects = 200;
+    corpus::Corpus C = corpus::CorpusGenerator(Opts).generate();
+    corpus::Miner M(api());
+    PipelineRequest Request;
+    Request.Changes = M.mine(C);
+    Request.TargetClasses = api().targetClasses();
+    Request.BuildDendrograms = false;
+    CorpusReport Report = DiffCode(api()).run(Request);
+    std::size_t Pairs = 0;
+    for (const ClassReport &Class : Report.PerClass) {
+      const std::vector<UsageChange> &Kept = Class.Filtered.Kept;
+      cluster::UsageDistCache Cache(Kept);
+      for (std::size_t I = 0; I < Kept.size(); ++I)
+        for (std::size_t J = I + 1; J < Kept.size(); ++J, ++Pairs) {
+          double Reference = cluster::referenceUsageDist(Kept[I], Kept[J]);
+          EXPECT_EQ(cluster::usageDist(Kept[I], Kept[J]), Reference)
+              << "seed " << Seed << " " << Class.TargetClass << " (" << I
+              << "," << J << ")";
+          EXPECT_EQ(Cache(I, J), Reference)
+              << "seed " << Seed << " " << Class.TargetClass << " (" << I
+              << "," << J << ")";
+        }
+    }
+    EXPECT_GT(Pairs, 100u) << "seed " << Seed;
   }
 }
 
@@ -225,7 +259,7 @@ TEST(InterningEquivalence, ClusteringMatchesStringMetricTrees) {
 
     std::vector<double> D = cluster::pairwiseDistanceMatrix(
         Changes.size(), [&](std::size_t I, std::size_t J) {
-          return cluster::usageDist(Changes[I], Changes[J]);
+          return cluster::referenceUsageDist(Changes[I], Changes[J]);
         });
     EXPECT_EQ(Production.leafCount(), Changes.size());
     EXPECT_EQ(cluster::dendrogramMerges(Production),

@@ -22,6 +22,7 @@
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
+#include "oracles/NaiveClustering.h"
 
 #include <gtest/gtest.h>
 
@@ -53,14 +54,19 @@ std::vector<corpus::CodeChange> minedChanges(unsigned Projects = 12,
 }
 
 /// The cold-batch oracle: one fresh DiffCode::run over \p Changes.
-std::string coldJson(const std::vector<corpus::CodeChange> &Changes,
-                     const PipelineConfig &Config = PipelineConfig()) {
+CorpusReport coldReport(const std::vector<corpus::CodeChange> &Changes,
+                        const PipelineConfig &Config = PipelineConfig()) {
   DiffCode System(api(), Config);
   PipelineRequest Request;
   for (const corpus::CodeChange &Change : Changes)
     Request.Changes.push_back(&Change);
   Request.TargetClasses = api().targetClasses();
-  return corpusReportToJson(System.run(Request));
+  return System.run(Request);
+}
+
+std::string coldJson(const std::vector<corpus::CodeChange> &Changes,
+                     const PipelineConfig &Config = PipelineConfig()) {
+  return corpusReportToJson(coldReport(Changes, Config));
 }
 
 /// Splits \p Changes into \p Parts contiguous batches (sizes as even as
@@ -183,6 +189,22 @@ TEST(ServiceSession, IncrementalRepairReusesPairDistances) {
   EXPECT_GT(Append.ClassesRepaired, 0u);
   EXPECT_GT(Append.PairsReused, 0u);
   EXPECT_EQ(Session.reportJson(), coldJson(Changes));
+
+  // The report JSON carries no dendrogram, so compare the trees the
+  // repair built (fresh pairs through the uncached metric, old pairs
+  // from the table) with the cold run's, merge by merge.
+  CorpusReport Cold = coldReport(Changes);
+  ASSERT_EQ(Session.report().PerClass.size(), Cold.PerClass.size());
+  std::size_t Merges = 0;
+  for (std::size_t I = 0; I < Cold.PerClass.size(); ++I) {
+    std::vector<cluster::Merge> Expected =
+        cluster::dendrogramMerges(Cold.PerClass[I].Tree);
+    EXPECT_EQ(cluster::dendrogramMerges(Session.report().PerClass[I].Tree),
+              Expected)
+        << Cold.PerClass[I].TargetClass;
+    Merges += Expected.size();
+  }
+  EXPECT_GT(Merges, 0u);
 }
 
 TEST(ServiceSession, ServiceHashCollisionsDegradeSelectivityNotCorrectness) {

@@ -482,3 +482,73 @@ TEST(ThreadPool, WorkersInheritFaultContext) {
   for (std::size_t I = 0; I < Fired.size(); ++I)
     EXPECT_EQ(Fired[I], 1) << "index " << I;
 }
+
+//===----------------------------------------------------------------------===//
+// ContentHash — the content key of the session and scanner caches
+//===----------------------------------------------------------------------===//
+
+#include "support/ContentHash.h"
+
+#include <set>
+
+using support::ContentHash;
+
+TEST(ContentHash, PrimaryIsStandardFnv1a) {
+  // Published FNV-1a 64 test vectors: unseeded H1 is plain FNV-1a, the
+  // hash class fault scopes and the scanner's unit keys have always used.
+  ContentHash Empty;
+  EXPECT_EQ(Empty.H1, 0xcbf29ce484222325ull);
+  ContentHash A;
+  A.bytes("a");
+  EXPECT_EQ(A.H1, 0xaf63dc4c8601ec8cull);
+  ContentHash Foobar;
+  Foobar.bytes("foobar");
+  EXPECT_EQ(Foobar.H1, 0x85944171f73967e8ull);
+}
+
+TEST(ContentHash, StreamsAndFramesWordsLittleEndian) {
+  ContentHash Whole, Parts;
+  Whole.bytes("old source new source");
+  Parts.bytes("old source ");
+  Parts.bytes("new source");
+  EXPECT_EQ(Whole.H1, Parts.H1);
+  EXPECT_EQ(Whole.H2, Parts.H2);
+
+  ContentHash Word, Bytes;
+  Word.word(0x0807060504030201ull);
+  Bytes.bytes(std::string_view("\x01\x02\x03\x04\x05\x06\x07\x08", 8));
+  EXPECT_EQ(Word.H1, Bytes.H1);
+  EXPECT_EQ(Word.H2, Bytes.H2);
+}
+
+TEST(ContentHash, SeedSeparatesBothHalves) {
+  ContentHash S1(1), S1Again(1), S2(2);
+  for (ContentHash *H : {&S1, &S1Again, &S2})
+    H->bytes("class A {}");
+  EXPECT_EQ(S1.H1, S1Again.H1);
+  EXPECT_EQ(S1.H2, S1Again.H2);
+  EXPECT_NE(S1.H1, S2.H1);
+  EXPECT_NE(S1.H2, S2.H2);
+}
+
+TEST(ContentHash, HalvesAreCollisionFreeOnAllTwoByteInputs) {
+  // Each half alone separates every two-byte input, and the halves are
+  // different functions, not one hash started from two offsets.
+  std::set<std::uint64_t> H1s, H2s;
+  std::size_t SameMix = 0;
+  for (unsigned Hi = 0; Hi < 256; ++Hi)
+    for (unsigned Lo = 0; Lo < 256; ++Lo) {
+      char Buf[2] = {static_cast<char>(Hi), static_cast<char>(Lo)};
+      ContentHash H;
+      H.bytes(std::string_view(Buf, 2));
+      H1s.insert(H.H1);
+      H2s.insert(H.H2);
+      ContentHash Fnv;
+      Fnv.H1 = ContentHash().H2; // FNV-1a from the second half's offset
+      Fnv.bytes(std::string_view(Buf, 2));
+      SameMix += Fnv.H1 == H.H2;
+    }
+  EXPECT_EQ(H1s.size(), 65536u);
+  EXPECT_EQ(H2s.size(), 65536u);
+  EXPECT_EQ(SameMix, 0u);
+}

@@ -55,10 +55,10 @@ void expectSameChanges(const std::vector<UsageChange> &Actual,
   ASSERT_EQ(Actual.size(), Expected.size()) << Where;
   for (std::size_t I = 0; I < Actual.size(); ++I) {
     EXPECT_EQ(Actual[I].TypeName, Expected[I].TypeName) << Where << " #" << I;
-    EXPECT_EQ(Actual[I].removedPaths(), Expected[I].Removed)
+    EXPECT_EQ(materializeRemoved(Actual[I]), Expected[I].Removed)
         << Where << " #" << I << "\n"
         << Actual[I].str();
-    EXPECT_EQ(Actual[I].addedPaths(), Expected[I].Added)
+    EXPECT_EQ(materializeAdded(Actual[I]), Expected[I].Added)
         << Where << " #" << I << "\n"
         << Actual[I].str();
   }
