@@ -11,17 +11,19 @@
 // violating allocation sites.
 //
 // Usage: check_project [file.java ...]
+// Exits 1 when a rule matches, 2 when a given file cannot be read.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/DiffCode.h"
 #include "corpus/CorpusGenerator.h"
+#include "corpus/CorpusIO.h"
 #include "rules/BuiltinRules.h"
 #include "rules/CryptoChecker.h"
 
+#include <cerrno>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,15 +31,18 @@ using namespace diffcode;
 
 namespace {
 
-std::string readFile(const char *Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open %s\n", Path);
-    return std::string();
+/// Reads \p Path whole into \p Out. A path that cannot be read as a
+/// file — absent, a directory, a symlink loop — is an error naming it,
+/// never an empty source.
+bool readFile(const char *Path, std::string &Out) {
+  std::optional<std::string> Text = corpus::readFileContents(Path);
+  if (!Text) {
+    std::fprintf(stderr, "error: cannot read %s: %s\n", Path,
+                 std::strerror(errno));
+    return false;
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  return Buffer.str();
+  Out = std::move(*Text);
+  return true;
 }
 
 } // namespace
@@ -51,9 +56,10 @@ int main(int argc, char **argv) {
 
   if (argc > 1) {
     for (int I = 1; I < argc; ++I) {
-      std::string Code = readFile(argv[I]);
-      if (!Code.empty())
-        Sources.emplace_back(argv[I], std::move(Code));
+      std::string Code;
+      if (!readFile(argv[I], Code))
+        return 2;
+      Sources.emplace_back(argv[I], std::move(Code));
     }
   } else {
     std::printf("(no files given — generating a synthetic project)\n\n");

@@ -29,7 +29,8 @@
 //       sharded clustering engine with MaxShardSize n (implies
 //       --cluster) and reports the shard statistics. --metrics runs the
 //       pipeline observed: the text report gains per-stage timing and
-//       counter tables, the JSON report a "metrics" block.
+//       counter tables, the JSON report a "metrics" block; the stages
+//       include the corpus load (corpus.read) and mining (corpus.mine).
 //       --trace-out=<file> (implies --metrics) additionally writes the
 //       span trace as Chrome trace_event JSON — load it in
 //       chrome://tracing or https://ui.perfetto.dev.
@@ -104,11 +105,11 @@
 #include "scan/Scanner.h"
 #include "service/Server.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -149,15 +150,17 @@ int printUsage() {
   return 2;
 }
 
+/// Reads \p Path whole. A path that cannot be read as a file — absent,
+/// a directory, a symlink loop — is an error naming it, never an empty
+/// source.
 bool readFile(const char *Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open %s\n", Path);
+  std::optional<std::string> Text = corpus::readFileContents(Path);
+  if (!Text) {
+    std::fprintf(stderr, "error: cannot read %s: %s\n", Path,
+                 std::strerror(errno));
     return false;
   }
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
+  Out = std::move(*Text);
   return true;
 }
 
@@ -315,8 +318,16 @@ int runPipeline(int argc, char **argv, bool Json) {
       return printUsage();
     }
   }
+  // Corpus load and mining run before the pipeline but are timed into
+  // the same observer, so the stage table shows them next to it.
+  obs::Observer Obs;
+  obs::Tracer *Trace = Metrics ? &Obs.Trace : nullptr;
   std::string Error;
-  std::optional<corpus::Corpus> C = corpus::readCorpus(argv[2], &Error);
+  std::optional<corpus::Corpus> C;
+  {
+    obs::Span S(Trace, "corpus.read");
+    C = corpus::readCorpus(argv[2], &Error);
+  }
   if (!C) {
     std::fprintf(stderr, "error: %s\n", Error.c_str());
     return 1;
@@ -327,7 +338,11 @@ int runPipeline(int argc, char **argv, bool Json) {
   corpus::MinerOptions MinerOpts;
   MinerOpts.MinCommitsPerProject = 1; // user-supplied corpora may be tiny
   corpus::Miner M(Api, MinerOpts);
-  std::vector<const corpus::CodeChange *> Mined = M.mine(*C);
+  std::vector<const corpus::CodeChange *> Mined;
+  {
+    obs::Span S(Trace, "corpus.mine");
+    Mined = M.mine(*C);
+  }
   if (!Json)
     std::printf("loaded %zu projects, mined %zu crypto-touching changes\n\n",
                 C->Projects.size(), Mined.size());
@@ -340,7 +355,6 @@ int runPipeline(int argc, char **argv, bool Json) {
     Opts.Sharding.Threads = 0; // all cores
   }
   core::DiffCode System(Api, Opts);
-  obs::Observer Obs;
   // run() dispatches on Exec.Mode, so --workers swaps in the
   // supervised engine without a separate entry point.
   core::CorpusReport Report = System.run({.Changes = Mined,

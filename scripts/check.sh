@@ -10,7 +10,9 @@
 # --asan (opt-in): build into build-asan/ with AddressSanitizer +
 # UndefinedBehaviorSanitizer, aborting on the first report. Also drives
 # one traced CLI pipeline run (--metrics --trace-out) so the span/metrics
-# paths get a sanitized pass, and re-runs the lexer fuzz suite
+# paths get a sanitized pass, loads an exported 25-project corpus (~2,000
+# files through the corpus directory walk) into a clustered pipeline
+# run, and re-runs the lexer fuzz suite
 # (test_lexer_fuzz) so the mutation corpus executes under the
 # sanitizers; the overhead guard is skipped (sanitizer timings are
 # meaningless). The regular build/ directory is untouched, so a
@@ -110,6 +112,20 @@ if [[ "$ASAN" == "1" ]]; then
   echo "== traced pipeline under sanitizers =="
   ./examples/diffcode_cli pipeline ../tests/data/smoke_corpus \
     --metrics --trace-out=trace_asan.json > /dev/null
+  echo "== exported corpus through the pipeline under sanitizers =="
+  # The corpus loader's descriptor walk (openat, readdir, read) over
+  # thousands of files rather than the smoke corpus's handful, then the
+  # whole pipeline with clustering over what it loaded.
+  CORPUS_DIR=$(mktemp -d "${TMPDIR:-/tmp}/diffcode_asan_corpus.XXXXXX")
+  CORPUS_RC=0
+  { ./examples/export_corpus "$CORPUS_DIR/corpus" 25 42 &&
+    ./examples/diffcode_cli pipeline "$CORPUS_DIR/corpus" --cluster; } \
+    > /dev/null || CORPUS_RC=$?
+  rm -rf "$CORPUS_DIR"
+  if [[ "$CORPUS_RC" != "0" ]]; then
+    echo "exported corpus pipeline exited $CORPUS_RC" >&2
+    exit 1
+  fi
   echo "== supervised traced pipeline under sanitizers =="
   # The cross-process telemetry path (worker observers, Telemetry frames,
   # coordinator stitch/merge) under the sanitizers.

@@ -10,9 +10,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
+#include <dirent.h>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -78,9 +79,10 @@ std::string commitDirName(unsigned Index) {
   return Buf;
 }
 
-/// Chunked fallback for sources mmap cannot serve: reads to EOF,
-/// retrying short reads (a pipe writer filling in bursts must not look
-/// like a smaller file). nullopt on a read error, with errno set.
+/// Chunked fallback for sources without a usable stat size (FIFOs,
+/// special files): reads to EOF, retrying short reads (a pipe writer
+/// filling in bursts must not look like a smaller file). nullopt on a
+/// read error, with errno set.
 std::optional<std::string> readStreaming(int Fd) {
   std::string Out;
   char Buf[1 << 16];
@@ -97,10 +99,11 @@ std::optional<std::string> readStreaming(int Fd) {
   }
 }
 
-/// readFileContents, additionally reporting why a read failed: \p Err
-/// receives the errno of the failing call (EISDIR for a directory).
-std::optional<std::string> readContents(const std::string &Path, int &Err) {
-  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+/// Reads the file \p Name, relative to the open directory \p At (or to
+/// the working directory for AT_FDCWD). \p Err receives the errno of the
+/// failing call on failure (EISDIR for a directory).
+std::optional<std::string> readAt(int At, const char *Name, int &Err) {
+  int Fd = ::openat(At, Name, O_RDONLY | O_CLOEXEC);
   if (Fd < 0) {
     Err = errno;
     return std::nullopt;
@@ -115,20 +118,27 @@ std::optional<std::string> readContents(const std::string &Path, int &Err) {
 
   std::optional<std::string> Out;
   if (S_ISREG(St.st_mode) && St.st_size > 0) {
-    // The batch-ingest fast path: map the file and copy it out in one
-    // pre-sized allocation. The kernel serves the copy straight from the
-    // page cache — no userspace double-buffer between disk and string.
-    std::size_t Size = static_cast<std::size_t>(St.st_size);
-    void *Map = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-    if (Map != MAP_FAILED) {
-      Out.emplace(static_cast<const char *>(Map), Size);
-      ::munmap(Map, Size);
-    } else {
-      Out = readStreaming(Fd);
+    // One allocation of the stat size, filled by read(): for corpus-sized
+    // files (a few hundred bytes) a copy is far cheaper than setting up
+    // and tearing down a mapping.
+    Out.emplace(static_cast<std::size_t>(St.st_size), '\0');
+    std::size_t Got = 0;
+    while (Got < Out->size()) {
+      ssize_t N = ::read(Fd, Out->data() + Got, Out->size() - Got);
+      if (N > 0)
+        Got += static_cast<std::size_t>(N);
+      else if (N == 0)
+        break; // the file shrank since fstat
+      else if (errno != EINTR) {
+        Out.reset();
+        break;
+      }
     }
+    if (Out)
+      Out->resize(Got);
   } else {
     // FIFOs, device files, and zero-stat-size regular files (procfs
-    // style) have no mappable extent; stream them to EOF instead.
+    // style) have no reliable size; stream them to EOF instead.
     Out = readStreaming(Fd);
   }
   if (!Out)
@@ -137,45 +147,164 @@ std::optional<std::string> readContents(const std::string &Path, int &Err) {
   return Out;
 }
 
-/// Reads the optional corpus file \p Path into \p Out (nullopt when
-/// absent). A file that exists but cannot be read — a symlink loop, a
-/// directory in its place — fails naming the path, never loads empty.
-bool readOptional(const fs::path &Path, std::optional<std::string> &Out,
-                  std::string *Error) {
-  int Err = 0;
-  Out = readContents(Path.string(), Err);
-  if (Out || Err == ENOENT)
-    return true;
-  return fail(Error, "cannot read " + Path.string() + ": " +
+/// \p Dir joined with \p Name, as std::filesystem::path would join them.
+/// Built only to name a failing entry.
+std::string pathJoin(const std::string &Dir, const std::string &Name) {
+  if (Dir.empty() || Dir.back() == '/')
+    return Dir + Name;
+  return Dir + "/" + Name;
+}
+
+bool failErrno(std::string *Error, const char *What, const std::string &Path,
+               int Err) {
+  return fail(Error, std::string(What) + " " + Path + ": " +
                          std::strerror(Err));
 }
 
-/// Fills \p Out, sorted, with the subdirectories (or regular files) of
-/// \p Dir; an absent \p Optional one lists nothing. An entry that cannot
-/// be resolved (a symlink loop) fails naming it; a dangling symlink is
-/// skipped like an absent file. The error_code overloads add no syscall:
-/// entry types come from the directory read except for symlinks.
-bool listEntries(const fs::path &Dir, bool Directories, bool Optional,
-                 std::vector<fs::path> &Out, std::string *Error) {
-  const std::errc Absent = std::errc::no_such_file_or_directory;
-  std::error_code EC;
-  if (Optional && !fs::is_directory(Dir, EC))
-    return !EC || EC == Absent ||
-           fail(Error, "cannot open " + Dir.string() + ": " + EC.message());
-  fs::directory_iterator It(Dir, EC), End;
-  for (; !EC && It != End; It.increment(EC)) {
-    std::error_code TypeEC;
-    bool Match = Directories ? It->is_directory(TypeEC)
-                             : It->is_regular_file(TypeEC);
-    if (TypeEC && TypeEC != Absent)
-      return fail(Error, "cannot resolve " + It->path().string() + ": " +
-                             TypeEC.message());
-    if (Match)
-      Out.push_back(It->path());
+/// Reads the optional corpus file \p Name in directory \p At into \p Out
+/// (nullopt when absent). Returns 0, or the errno of a file that exists
+/// but cannot be read — a symlink loop, a directory in its place — which
+/// the caller reports naming the path, never loading it empty.
+int readOptional(int At, const char *Name, std::optional<std::string> &Out) {
+  int Err = 0;
+  Out = readAt(At, Name, Err);
+  return Out || Err == ENOENT ? 0 : Err;
+}
+
+/// A directory opened for reading entries; closing the stream closes the
+/// descriptor that dirfd() lends to openat.
+using DirStream = std::unique_ptr<DIR, int (*)(DIR *)>;
+
+/// Opens the directory \p Name relative to \p At for listing (symlinks
+/// followed). A null stream leaves errno set.
+DirStream openDir(int At, const char *Name) {
+  DIR *D = nullptr;
+  int Fd = ::openat(At, Name, O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (Fd >= 0 && !(D = ::fdopendir(Fd))) {
+    int Err = errno;
+    ::close(Fd);
+    errno = Err;
   }
-  if (EC)
-    return fail(Error, "cannot list " + Dir.string() + ": " + EC.message());
+  return DirStream(D, &::closedir);
+}
+
+/// Fills \p Out, sorted bytewise, with the names of the subdirectories
+/// (or regular files) of \p Dir, whose path \p DirPath serves only error
+/// messages. Entry types come from the directory read; only symlinks and
+/// entries of unknown type cost an fstatat. An entry that cannot be
+/// resolved (a symlink loop) fails naming it; a dangling symlink is
+/// skipped like an absent file.
+bool listEntries(DIR *Dir, const std::string &DirPath, bool Directories,
+                 std::vector<std::string> &Out, std::string *Error) {
+  const unsigned char Want = Directories ? DT_DIR : DT_REG;
+  for (;;) {
+    errno = 0;
+    const dirent *Entry = ::readdir(Dir);
+    if (!Entry)
+      break;
+    const char *Name = Entry->d_name;
+    if (std::strcmp(Name, ".") == 0 || std::strcmp(Name, "..") == 0)
+      continue;
+    unsigned char Type = Entry->d_type;
+    if (Type == DT_LNK || Type == DT_UNKNOWN) {
+      struct stat St;
+      if (::fstatat(::dirfd(Dir), Name, &St, 0) != 0) {
+        if (errno == ENOENT)
+          continue;
+        return failErrno(Error, "cannot resolve", pathJoin(DirPath, Name),
+                         errno);
+      }
+      Type = S_ISDIR(St.st_mode)   ? DT_DIR
+             : S_ISREG(St.st_mode) ? DT_REG
+                                   : DT_UNKNOWN;
+    }
+    if (Type == Want)
+      Out.emplace_back(Name);
+  }
+  if (errno != 0)
+    return failErrno(Error, "cannot list", DirPath, errno);
   std::sort(Out.begin(), Out.end());
+  return true;
+}
+
+/// Opens the optional directory \p Name in \p At (path \p Path, for
+/// errors) into \p Dir and lists it into \p Names as listEntries does.
+/// Absent, a dangling symlink, or not a directory (a regular file named
+/// `head`) leaves \p Dir null and succeeds; anything else — a symlink
+/// loop — fails naming \p Path.
+bool listOptional(int At, const char *Name, const std::string &Path,
+                  bool Directories, DirStream &Dir,
+                  std::vector<std::string> &Names, std::string *Error) {
+  Dir = openDir(At, Name);
+  if (!Dir)
+    return errno == ENOENT || errno == ENOTDIR ||
+           failErrno(Error, "cannot open", Path, errno);
+  return listEntries(Dir.get(), Path, Directories, Names, Error);
+}
+
+/// Loads the commit directory \p Name in \p CommitsDir (path
+/// \p CommitsPath, for errors) into \p Change.
+bool readCommit(int CommitsDir, const std::string &CommitsPath,
+                const std::string &Name, CodeChange &Change,
+                std::string *Error) {
+  if (Name.size() > 1 && Name[0] == 'c')
+    Change.CommitIndex = static_cast<unsigned>(std::atoi(Name.c_str() + 1));
+  int Dir = ::openat(CommitsDir, Name.c_str(),
+                     O_PATH | O_DIRECTORY | O_CLOEXEC);
+  if (Dir < 0)
+    return failErrno(Error, "cannot open", pathJoin(CommitsPath, Name), errno);
+  static const char *const Files[] = {"kind.txt", "file.txt", "old.java",
+                                      "new.java"};
+  std::optional<std::string> Text[4];
+  for (int I = 0; I < 4; ++I)
+    if (int Err = readOptional(Dir, Files[I], Text[I])) {
+      ::close(Dir);
+      return failErrno(Error, "cannot read",
+                       pathJoin(pathJoin(CommitsPath, Name), Files[I]), Err);
+    }
+  ::close(Dir);
+  Change.Kind = std::string(trim(Text[0].value_or("")));
+  Change.FileName = std::string(trim(Text[1].value_or("")));
+  Change.OldCode = std::move(Text[2]).value_or("");
+  Change.NewCode = std::move(Text[3]).value_or("");
+  return true;
+}
+
+/// Loads the project directory \p Dir (path \p Path, for errors) into
+/// \p P, whose name is already set.
+bool readProject(int Dir, const std::string &Path, Project &P,
+                 std::string *Error) {
+  std::optional<std::string> Text;
+  if (int Err = readOptional(Dir, "project.meta", Text))
+    return failErrno(Error, "cannot read", pathJoin(Path, "project.meta"), Err);
+  P.Meta = metaFromText(Text.value_or(""));
+
+  std::string HeadPath = pathJoin(Path, "head");
+  DirStream Head(nullptr, &::closedir);
+  std::vector<std::string> Names;
+  if (!listOptional(Dir, "head", HeadPath, /*Directories=*/false, Head, Names,
+                    Error))
+    return false;
+  for (std::string &Name : Names) {
+    if (int Err = readOptional(::dirfd(Head.get()), Name.c_str(), Text))
+      return failErrno(Error, "cannot read", pathJoin(HeadPath, Name), Err);
+    if (Text)
+      P.Files.push_back({std::move(Name), std::move(*Text)});
+  }
+
+  std::string CommitsPath = pathJoin(Path, "commits");
+  DirStream Commits(nullptr, &::closedir);
+  Names.clear();
+  if (!listOptional(Dir, "commits", CommitsPath, /*Directories=*/true,
+                    Commits, Names, Error))
+    return false;
+  for (const std::string &Name : Names) {
+    CodeChange Change;
+    Change.ProjectName = P.Name;
+    if (!readCommit(::dirfd(Commits.get()), CommitsPath, Name, Change, Error))
+      return false;
+    P.History.push_back(std::move(Change));
+  }
   return true;
 }
 
@@ -184,7 +313,10 @@ bool listEntries(const fs::path &Dir, bool Directories, bool Optional,
 std::optional<std::string>
 diffcode::corpus::readFileContents(const std::string &Path) {
   int Err = 0;
-  return readContents(Path, Err);
+  std::optional<std::string> Out = readAt(AT_FDCWD, Path.c_str(), Err);
+  if (!Out)
+    errno = Err;
+  return Out;
 }
 
 bool diffcode::corpus::writeCorpus(const Corpus &C, const std::string &RootDir,
@@ -223,54 +355,30 @@ bool diffcode::corpus::writeCorpus(const Corpus &C, const std::string &RootDir,
 
 std::optional<Corpus> diffcode::corpus::readCorpus(const std::string &RootDir,
                                                    std::string *Error) {
-  Corpus C;
-  std::vector<fs::path> ProjectDirs;
-  if (!listEntries(RootDir, /*Directories=*/true, /*Optional=*/false,
-                   ProjectDirs, Error))
+  DirStream Root = openDir(AT_FDCWD, RootDir.c_str());
+  if (!Root) {
+    failErrno(Error, "cannot list", RootDir, errno);
+    return std::nullopt;
+  }
+  std::vector<std::string> Names;
+  if (!listEntries(Root.get(), RootDir, /*Directories=*/true, Names, Error))
     return std::nullopt;
 
-  std::optional<std::string> Text;
-  for (const fs::path &ProjectDir : ProjectDirs) {
+  Corpus C;
+  for (std::string &Name : Names) {
+    std::string Path = pathJoin(RootDir, Name);
+    int Dir = ::openat(::dirfd(Root.get()), Name.c_str(),
+                       O_PATH | O_DIRECTORY | O_CLOEXEC);
+    if (Dir < 0) {
+      failErrno(Error, "cannot open", Path, errno);
+      return std::nullopt;
+    }
     Project P;
-    P.Name = ProjectDir.filename().string();
-    if (!readOptional(ProjectDir / "project.meta", Text, Error))
+    P.Name = std::move(Name);
+    bool Ok = readProject(Dir, Path, P, Error);
+    ::close(Dir);
+    if (!Ok)
       return std::nullopt;
-    P.Meta = metaFromText(Text.value_or(""));
-
-    std::vector<fs::path> Heads;
-    if (!listEntries(ProjectDir / "head", /*Directories=*/false,
-                     /*Optional=*/true, Heads, Error))
-      return std::nullopt;
-    for (const fs::path &Head : Heads) {
-      if (!readOptional(Head, Text, Error))
-        return std::nullopt;
-      if (Text)
-        P.Files.push_back({Head.filename().string(), std::move(*Text)});
-    }
-
-    std::vector<fs::path> CommitDirs;
-    if (!listEntries(ProjectDir / "commits", /*Directories=*/true,
-                     /*Optional=*/true, CommitDirs, Error))
-      return std::nullopt;
-    for (const fs::path &CommitDir : CommitDirs) {
-      CodeChange Change;
-      Change.ProjectName = P.Name;
-      std::string Name = CommitDir.filename().string();
-      if (Name.size() > 1 && Name[0] == 'c')
-        Change.CommitIndex =
-            static_cast<unsigned>(std::atoi(Name.c_str() + 1));
-      std::optional<std::string> Kind, File, Old, New;
-      if (!readOptional(CommitDir / "kind.txt", Kind, Error) ||
-          !readOptional(CommitDir / "file.txt", File, Error) ||
-          !readOptional(CommitDir / "old.java", Old, Error) ||
-          !readOptional(CommitDir / "new.java", New, Error))
-        return std::nullopt;
-      Change.Kind = std::string(trim(Kind.value_or("")));
-      Change.FileName = std::string(trim(File.value_or("")));
-      Change.OldCode = std::move(Old).value_or("");
-      Change.NewCode = std::move(New).value_or("");
-      P.History.push_back(std::move(Change));
-    }
     C.Projects.push_back(std::move(P));
   }
   return C;

@@ -43,19 +43,24 @@ bool writeCorpus(const Corpus &C, const std::string &RootDir,
 /// A piece that exists but cannot be read or resolved — a symlink loop,
 /// a directory where a file belongs — is a failure naming its path,
 /// never a silently empty file or a partial corpus.
-/// Every file goes through readFileContents, so a batch ingest maps
-/// sources straight from the page cache instead of double-buffering
-/// through stream internals.
+/// Projects, HEAD files and commits come in bytewise name order; names
+/// are bytes (no encoding is assumed). Symlinks are followed, and a
+/// dangling one loads as absent.
+/// The walk goes through directory descriptors: each project directory
+/// is opened once, `head/` and `commits/` are listed with readdir (an
+/// fstatat only for symlinks and entries of unknown type), and every
+/// file is opened relative to its directory and read as
+/// readFileContents does. Full paths are built only for error messages.
 std::optional<Corpus> readCorpus(const std::string &RootDir,
                                  std::string *Error = nullptr);
 
-/// Reads one file's bytes. Regular files are mmap'd and copied out in a
-/// single pre-sized allocation (no stream double-buffering); anything
-/// not mappable — FIFOs, special files, zero-stat-size files — falls
-/// back to a chunked read loop that tolerates short reads, so piped
-/// input is read to EOF rather than truncated at the first partial
-/// read. nullopt on open/read failure (a mid-stream error never yields
-/// a plausible-looking prefix).
+/// Reads one file's bytes. A regular file is read() straight into one
+/// string sized to its stat size; FIFOs, special files and
+/// zero-stat-size files go through a chunked read loop that tolerates
+/// short reads, so piped input is read to EOF rather than truncated at
+/// the first partial read. nullopt on open/read failure, with errno set
+/// to the cause (EISDIR for a directory); a mid-stream error never
+/// yields a plausible-looking prefix.
 std::optional<std::string> readFileContents(const std::string &Path);
 
 } // namespace corpus

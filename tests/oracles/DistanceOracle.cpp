@@ -4,7 +4,6 @@
 
 #include "oracles/UsageOracle.h"
 #include "support/Hungarian.h"
-#include "support/Interner.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
@@ -25,9 +24,23 @@ std::size_t commonPrefixLen(const FeaturePath &A, const FeaturePath &B) {
 
 } // namespace
 
+// Written from Section 4.3, not from support::Interner::labelUnits: the
+// metric differentials check the production split against this one.
 std::vector<std::string>
 diffcode::cluster::referenceLabelUnits(const NodeLabel &Label) {
-  return support::Interner::labelUnits(Label);
+  // A type name (root) or method signature is one unit.
+  if (Label.K != NodeLabel::Kind::Arg)
+    return {Label.Text};
+  // An argument label is the unit "argN" followed by its value: one unit
+  // per character for a string constant, one unit for any other value.
+  std::vector<std::string> Units = {"arg" + std::to_string(Label.ArgIndex)};
+  if (!Label.ValueIsString) {
+    Units.push_back(Label.Text);
+    return Units;
+  }
+  for (char C : Label.Text)
+    Units.emplace_back(1, C);
+  return Units;
 }
 
 double diffcode::cluster::referenceLabelSimilarity(const NodeLabel &A,

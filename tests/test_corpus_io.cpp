@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -209,7 +210,8 @@ TEST_F(CorpusIOTest, DanglingSymlinksAreSkippedLikeAbsentFiles) {
 }
 
 //===----------------------------------------------------------------------===//
-// readFileContents: the mmap fast path and its chunked fallback
+// readFileContents: one read() into a stat-sized string, and the chunked
+// fallback for FIFOs and zero-stat-size files
 //===----------------------------------------------------------------------===//
 
 TEST_F(CorpusIOTest, ReadFileContentsExactBytesAroundPageBoundaries) {
@@ -274,4 +276,127 @@ TEST_F(CorpusIOTest, LoadedCorpusMinesIdentically) {
 
   Miner M(apimodel::CryptoApiModel::javaCryptoApi());
   EXPECT_EQ(M.mine(Original).size(), M.mine(*Loaded).size());
+}
+
+//===----------------------------------------------------------------------===//
+// The corpus-boundary contract of the directory walk: names are bytes,
+// order is bytewise, symlinked directories are followed, and a regular
+// file where an optional directory belongs reads as absent.
+//===----------------------------------------------------------------------===//
+
+TEST_F(CorpusIOTest, NonUtf8NamesLoadByteExactInBytewiseOrder) {
+  // Bytewise (unsigned) order puts 'Z' < 'a' < 0x80 < 0xff; a signed
+  // char comparison would sort the high bytes first.
+  const std::vector<std::string> Names = {"Z", "a", "\x80\xfe", "\xff\x01"};
+  for (auto It = Names.rbegin(); It != Names.rend(); ++It) {
+    fs::path Project = Root / *It;
+    layOutProject(Project);
+    std::ofstream(Project / "head" / (*It + ".java")) << *It;
+    fs::create_directories(Project / "commits" / ("c" + *It));
+    std::ofstream(Project / "commits" / ("c" + *It) / "new.java") << *It;
+  }
+
+  std::string Error;
+  std::optional<Corpus> Loaded = readCorpus(Root.string(), &Error);
+  ASSERT_TRUE(Loaded.has_value()) << Error;
+  ASSERT_EQ(Loaded->Projects.size(), Names.size());
+  for (std::size_t I = 0; I < Names.size(); ++I) {
+    const Project &P = Loaded->Projects[I];
+    EXPECT_EQ(P.Name, Names[I]);
+    std::vector<std::string> Heads;
+    for (const ProjectFile &File : P.Files) {
+      Heads.push_back(File.Name);
+      if (File.Name != "A.java")
+        EXPECT_EQ(File.Code, Names[I]);
+    }
+    std::vector<std::string> WantHeads = {"A.java", Names[I] + ".java"};
+    std::sort(WantHeads.begin(), WantHeads.end());
+    EXPECT_EQ(Heads, WantHeads);
+    // commits: "c0001" sorts before "c" + any of the names.
+    ASSERT_EQ(P.History.size(), 2u);
+    EXPECT_EQ(P.History[0].CommitIndex, 1u);
+    EXPECT_EQ(P.History[1].NewCode, Names[I]);
+    EXPECT_EQ(P.History[1].ProjectName, Names[I]);
+  }
+}
+
+TEST_F(CorpusIOTest, RegularFileNamedHeadOrCommitsLoadsAsAbsent) {
+  for (const char *Dir : {"head", "commits"}) {
+    fs::remove_all(Root);
+    fs::path ProjectDir = Root / "proj";
+    layOutProject(ProjectDir);
+    fs::remove_all(ProjectDir / Dir);
+    std::ofstream(ProjectDir / Dir) << "not a directory";
+
+    std::string Error;
+    std::optional<Corpus> Loaded = readCorpus(Root.string(), &Error);
+    ASSERT_TRUE(Loaded.has_value()) << Dir << ": " << Error;
+    ASSERT_EQ(Loaded->Projects.size(), 1u);
+    const Project &P = Loaded->Projects[0];
+    EXPECT_EQ(P.Files.size(), std::string_view(Dir) == "head" ? 0u : 1u);
+    EXPECT_EQ(P.History.size(), std::string_view(Dir) == "commits" ? 0u : 1u);
+  }
+}
+
+TEST_F(CorpusIOTest, SymlinkedProjectAndCommitDirectoriesLoad) {
+  fs::path Elsewhere = Root / "elsewhere";
+  layOutProject(Elsewhere / "real");
+  fs::create_directories(Elsewhere / "c0002");
+  std::ofstream(Elsewhere / "c0002" / "old.java") << "class Old { }";
+  fs::create_directories(Root / "corpus");
+  fs::create_directory_symlink(Elsewhere / "real", Root / "corpus" / "linked");
+  fs::create_directory_symlink(Elsewhere / "c0002",
+                               Elsewhere / "real" / "commits" / "c0002");
+
+  std::string Error;
+  std::optional<Corpus> Loaded = readCorpus((Root / "corpus").string(), &Error);
+  ASSERT_TRUE(Loaded.has_value()) << Error;
+  ASSERT_EQ(Loaded->Projects.size(), 1u);
+  const Project &P = Loaded->Projects[0];
+  EXPECT_EQ(P.Name, "linked");
+  EXPECT_EQ(P.Files.size(), 1u);
+  ASSERT_EQ(P.History.size(), 2u);
+  EXPECT_EQ(P.History[1].CommitIndex, 2u);
+  EXPECT_EQ(P.History[1].OldCode, "class Old { }");
+}
+
+TEST_F(CorpusIOTest, GeneratedCorpusRoundTripsFieldByField) {
+  CorpusOptions Opts;
+  Opts.Seed = 42;
+  Opts.NumProjects = 300;
+  Corpus Original = CorpusGenerator(Opts).generate();
+  std::string Error;
+  ASSERT_TRUE(writeCorpus(Original, Root.string(), &Error)) << Error;
+  std::optional<Corpus> Loaded = readCorpus(Root.string(), &Error);
+  ASSERT_TRUE(Loaded.has_value()) << Error;
+
+  // readCorpus returns projects and HEAD files in bytewise name order.
+  auto ByName = [](const auto &A, const auto &B) { return A.Name < B.Name; };
+  std::sort(Original.Projects.begin(), Original.Projects.end(), ByName);
+  ASSERT_EQ(Loaded->Projects.size(), Original.Projects.size());
+  for (std::size_t I = 0; I < Original.Projects.size(); ++I) {
+    Project &Want = Original.Projects[I];
+    const Project &Got = Loaded->Projects[I];
+    ASSERT_EQ(Got.Name, Want.Name);
+    EXPECT_EQ(Got.Meta.IsAndroid, Want.Meta.IsAndroid) << Want.Name;
+    EXPECT_EQ(Got.Meta.MinSdkVersion, Want.Meta.MinSdkVersion) << Want.Name;
+    EXPECT_EQ(Got.Meta.HasLinuxPrngFix, Want.Meta.HasLinuxPrngFix)
+        << Want.Name;
+    std::sort(Want.Files.begin(), Want.Files.end(), ByName);
+    ASSERT_EQ(Got.Files.size(), Want.Files.size()) << Want.Name;
+    for (std::size_t F = 0; F < Want.Files.size(); ++F) {
+      EXPECT_EQ(Got.Files[F].Name, Want.Files[F].Name);
+      EXPECT_EQ(Got.Files[F].Code, Want.Files[F].Code) << Want.Files[F].Name;
+    }
+    ASSERT_EQ(Got.History.size(), Want.History.size()) << Want.Name;
+    for (std::size_t H = 0; H < Want.History.size(); ++H) {
+      const CodeChange &A = Got.History[H], &B = Want.History[H];
+      EXPECT_EQ(A.ProjectName, B.ProjectName);
+      EXPECT_EQ(A.CommitIndex, B.CommitIndex);
+      EXPECT_EQ(A.FileName, B.FileName) << B.origin();
+      EXPECT_EQ(A.Kind, B.Kind) << B.origin();
+      EXPECT_EQ(A.OldCode, B.OldCode) << B.origin();
+      EXPECT_EQ(A.NewCode, B.NewCode) << B.origin();
+    }
+  }
 }

@@ -653,10 +653,11 @@ TEST(CliTrace, TraceOutSchema) {
   ASSERT_FALSE(Json.empty());
   expectValidTraceEventJson(Json);
 
-  // The pipeline's stage spans must all be present.
+  // The CLI's corpus-load spans and the pipeline's stage spans must all
+  // be present.
   for (const char *Stage :
-       {"pipeline", "analyzeChanges", "filterClass", "computeCorpusHealth",
-        "processChange"})
+       {"corpus.read", "corpus.mine", "pipeline", "analyzeChanges",
+        "filterClass", "computeCorpusHealth", "processChange"})
     EXPECT_NE(Json.find(std::string("\"name\":\"") + Stage + "\""),
               std::string::npos)
         << Stage;
@@ -735,6 +736,45 @@ TEST(CliTrace, SupervisedMetricsCarryWorkerNamespace) {
   EXPECT_NE(Json.find("\"exec.worker."), std::string::npos);
   EXPECT_NE(Json.find("\"exec.telemetry_frames\""), std::string::npos);
   std::remove(OutPath.c_str());
+}
+
+/// stdout of `diffcode_cli pipeline <smoke corpus> <Flags>`.
+std::string cliPipelineOutput(const std::string &Flags) {
+  const std::string OutPath =
+      testing::TempDir() + "diffcode_cli_pipeline_output.txt";
+  std::string Cmd = std::string(DIFFCODE_CLI_PATH) + " pipeline " +
+                    DIFFCODE_SMOKE_CORPUS + " " + Flags + " > " + OutPath +
+                    " 2>/dev/null";
+  EXPECT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+  std::ifstream In(OutPath);
+  std::ostringstream Buffer;
+  Buffer << In.rdbuf();
+  std::remove(OutPath.c_str());
+  return Buffer.str();
+}
+
+// The corpus-load stages are timed into the run's observer, so they ride
+// in the metrics block only: the unobserved report, minus its closing
+// brace and newline, stays a byte prefix of the observed one.
+TEST(CliTrace, CorpusLoadStagesKeepOffReportAPrefix) {
+  std::string Off = cliPipelineOutput("--json");
+  std::string On = cliPipelineOutput("--metrics --json");
+  ASSERT_GE(Off.size(), 2u);
+  ASSERT_EQ(Off.substr(Off.size() - 2), "}\n");
+  std::string Prefix = Off.substr(0, Off.size() - 2);
+  EXPECT_EQ(On.compare(0, Prefix.size(), Prefix), 0);
+  EXPECT_EQ(On.compare(Prefix.size(), 12, ",\"metrics\":{"), 0);
+  for (const char *Stage : {"corpus.read", "corpus.mine"})
+    EXPECT_NE(On.find(std::string("{\"name\":\"") + Stage + "\",\"spans\":1,"),
+              std::string::npos)
+        << Stage;
+  EXPECT_EQ(Off.find("corpus.read"), std::string::npos);
+
+  std::string Table = cliPipelineOutput("--metrics");
+  std::size_t Stages = Table.find("stage timings:");
+  ASSERT_NE(Stages, std::string::npos);
+  EXPECT_NE(Table.find("  corpus.read ", Stages), std::string::npos);
+  EXPECT_NE(Table.find("  corpus.mine ", Stages), std::string::npos);
 }
 
 TEST(CliTrace, JsonReportCarriesMetricsBlock) {
