@@ -8,10 +8,10 @@
 /// \file
 /// The point of service mode (DESIGN.md "Service mode and the session
 /// API"): when one commit lands on an already-analyzed corpus, an
-/// AnalysisSession re-analyzes only what the commit touched and repairs
-/// the affected dendrograms from its persisted pair-distance tables,
-/// where a batch pipeline re-runs everything. This bench measures that
-/// gap at corpus scale and gates on it.
+/// AnalysisSession re-analyzes only what the commit touched, re-filters
+/// only the classes it touched and re-clusters only those whose kept set
+/// grew, where a batch pipeline re-runs everything. This bench measures
+/// that gap at corpus scale and gates on it.
 ///
 /// Scenario: mine a generated corpus down to n changes, split off the
 /// final commit's changes (the "append"), then time
@@ -32,6 +32,9 @@
 ///   * byte-identity: the warmed-then-appended session's snapshot JSON
 ///     equals the cold batch report byte for byte (the session
 ///     contract);
+///   * trees: every class's dendrogram merge list and clustering error
+///     equal the cold batch's (the JSON carries no dendrogram, so the
+///     byte check alone cannot see a wrong tree);
 ///   * bookkeeping: the session holds exactly n changes and the append
 ///     ingested exactly the tail;
 ///   * speedup: cold wall time over incremental wall time is at least
@@ -47,6 +50,7 @@
 #include "core/ReportWriter.h"
 #include "corpus/CorpusGenerator.h"
 #include "corpus/Miner.h"
+#include "oracles/NaiveClustering.h"
 #include "service/AnalysisSession.h"
 #include "support/JsonWriter.h"
 
@@ -159,11 +163,19 @@ int main(int argc, char **argv) {
   // Byte-identity + bookkeeping
   //===--------------------------------------------------------------------===//
 
-  std::string ColdJson = corpusReportToJson(System.run(All));
+  CorpusReport Cold = System.run(All);
+  std::string ColdJson = corpusReportToJson(Cold);
   auto Probe = warmedSession();
   service::IngestStats TailStats = Probe->ingest(TailChanges);
   std::string SessionJson = Probe->reportJson();
   bool ByteIdentical = !ColdJson.empty() && ColdJson == SessionJson;
+  const std::vector<ClassReport> &Repaired = Probe->report().PerClass;
+  bool TreesIdentical = Repaired.size() == Cold.PerClass.size();
+  for (std::size_t I = 0; TreesIdentical && I < Repaired.size(); ++I)
+    TreesIdentical =
+        cluster::dendrogramMerges(Repaired[I].Tree) ==
+            cluster::dendrogramMerges(Cold.PerClass[I].Tree) &&
+        Repaired[I].ClusteringError == Cold.PerClass[I].ClusteringError;
   bool BookkeepingOk = Probe->size() == Mined.size() &&
                        TailStats.Ingested == TailChanges.size() &&
                        TailStats.CacheHits + TailStats.CacheMisses ==
@@ -196,7 +208,7 @@ int main(int argc, char **argv) {
   bool SpeedupOk = Speedup >= SpeedupBar;
   std::fprintf(stderr,
                "  cold batch   %10.2f ms (all %zu changes)\n"
-               "  append       %10.2f ms (%zu changes, %llu pairs reused)\n"
+               "  append       %10.2f ms (%zu changes, %llu pairs kept)\n"
                "  speedup      %10.1fx (bar %.0fx)\n",
                ColdWallNs / 1e6, Mined.size(), IncrWallNs / 1e6,
                TailChanges.size(),
@@ -231,9 +243,11 @@ int main(int argc, char **argv) {
   W.key("pairs_reused").value(TailStats.PairsReused);
   W.endObject();
   W.key("byte_identical").value(ByteIdentical);
+  W.key("trees_identical").value(TreesIdentical);
   W.key("bookkeeping_ok").value(BookkeepingOk);
   W.key("speedup_ok").value(SpeedupOk);
-  bool Pass = ByteIdentical && BookkeepingOk && SpeedupOk && Sink > 0;
+  bool Pass = ByteIdentical && TreesIdentical && BookkeepingOk && SpeedupOk &&
+              Sink > 0;
   W.key("pass").value(Pass);
   W.endObject();
 
@@ -248,6 +262,9 @@ int main(int argc, char **argv) {
   if (!ByteIdentical)
     std::fprintf(stderr,
                  "FAIL: warmed session snapshot differs from cold batch\n");
+  if (!TreesIdentical)
+    std::fprintf(stderr,
+                 "FAIL: a repaired dendrogram differs from the cold batch's\n");
   if (!BookkeepingOk)
     std::fprintf(stderr, "FAIL: session bookkeeping inconsistent\n");
   if (!SpeedupOk)

@@ -12,7 +12,8 @@
 //       (all six target classes), with the filter verdict per change;
 //
 //   diffcode_cli check <file.java ...> [--json]
-//       run CryptoChecker (R1-R13) over the files as one project;
+//       run CryptoChecker (R1-R13) over the files as one project; exits
+//       1 when a rule matches and 2 when an input cannot be read;
 //
 //   diffcode_cli suggest <old.java> <new.java>
 //       auto-suggest a rule from the change (Section 6.3).
@@ -205,7 +206,7 @@ int runCheck(int argc, char **argv, bool Json) {
       continue;
     std::string Code;
     if (!readFile(argv[I], Code))
-      return 1;
+      return 2; // 1 means a rule matched
     Names.push_back(argv[I]);
     Codes.push_back(std::move(Code));
   }
@@ -751,11 +752,12 @@ int runConnect(int argc, char **argv) {
       }
       std::printf("ingested %zu changes (session total %llu): "
                   "%zu cache hits, %zu misses, %zu classes repaired, "
-                  "%llu pair distances reused\n",
+                  "%llu pairs re-clustered, %llu in kept trees\n",
                   Reply.Stats.Ingested,
                   static_cast<unsigned long long>(Reply.TotalChanges),
                   Reply.Stats.CacheHits, Reply.Stats.CacheMisses,
                   Reply.Stats.ClassesRepaired,
+                  static_cast<unsigned long long>(Reply.Stats.PairsComputed),
                   static_cast<unsigned long long>(Reply.Stats.PairsReused));
     } else if (std::strcmp(argv[I], "--query") == 0 && I + 1 < argc) {
       std::string Answer;

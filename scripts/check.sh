@@ -42,7 +42,8 @@
 #                corpus-stream speedup is at least 5x.
 #   incremental  bench/micro_incremental 10000 42: service append vs a
 #                cold batch; fails unless the warmed session's snapshot
-#                is byte-identical to the cold batch report and the
+#                is byte-identical to the cold batch report, every
+#                class's dendrogram equals the cold batch's, and the
 #                single-commit append speedup is at least 5x.
 #   scan         bench/micro_scan 600 42: streaming rule scanner at 5x the
 #                Fig-10 corpus; fails unless the report is byte-identical

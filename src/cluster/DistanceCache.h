@@ -27,9 +27,10 @@
 /// pathDist and pathsDist are written once (DistanceCache.cpp) and run
 /// two ways. The free functions below resolve ids through the changes'
 /// interner on every call; they serve callers with a handful of pairs
-/// (the session's fresh pairs). UsageDistCache serves a whole class: it
-/// compacts the corpus's global ids to dense local indices and memoises
-/// label similarities and path distances in dense tables:
+/// (tests and bench/micro_matching). UsageDistCache serves a whole
+/// class, and every dendrogram is built over one. It compacts the
+/// corpus's global ids to dense local indices and memoises label
+/// similarities and path distances in dense tables:
 ///
 ///   * the corpus's distinct global label ids -> dense local ids, with
 ///     unit vectors borrowed from the interner's arena (never copied);

@@ -49,12 +49,6 @@ bool core::changeStatusFromName(std::string_view Name, ChangeStatus &Out) {
   return false;
 }
 
-std::uint64_t core::classScopeKey(std::string_view TargetClass) {
-  support::ContentHash H;
-  H.bytes(TargetClass);
-  return H.H1;
-}
-
 std::size_t CorpusHealth::troubled() const {
   std::size_t N = 0;
   for (std::size_t I = 1; I < NumChangeStatuses; ++I)
@@ -300,7 +294,11 @@ void DiffCode::clusterClass(ClassReport &Class) const {
   Class.Sharding = cluster::ShardingStats();
   if (Class.Filtered.Kept.empty())
     return;
-  support::FaultScope Scope(&Config.Faults, classScopeKey(Class.TargetClass));
+  // Fault scope: the hash of the class name, distinct from any
+  // change-index scope so campaigns can target clustering alone.
+  support::ContentHash ScopeKey;
+  ScopeKey.bytes(Class.TargetClass);
+  support::FaultScope Scope(&Config.Faults, ScopeKey.H1);
   cluster::ClusteringOptions Engine{.Threads = Config.Clustering.Threads,
                                     .Sharding = Config.Sharding};
   try {

@@ -276,12 +276,6 @@ struct PipelineRequest {
 /// exposed for tests and for callers that post-edit reports.
 void computeCorpusHealth(CorpusReport &Report, std::size_t MaxOffenders = 5);
 
-/// Fault scope of a class's clustering step: the FNV-1a hash of its
-/// name, distinct from any change-index scope so campaigns can target
-/// clustering alone. DiffCode::clusterClass and the session's
-/// incremental re-cluster both use it, so armed campaigns land alike.
-std::uint64_t classScopeKey(std::string_view TargetClass);
-
 /// The system facade.
 class DiffCode {
 public:

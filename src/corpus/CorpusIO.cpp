@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 
 #include <dirent.h>
@@ -298,11 +299,21 @@ bool readProject(int Dir, const std::string &Path, Project &P,
   if (!listOptional(Dir, "commits", CommitsPath, /*Directories=*/true,
                     Commits, Names, Error))
     return false;
+  // Commit index -> the directory that claimed it: two names parsing to
+  // one index (c0001 and c1) would load as two changes with one origin.
+  std::map<unsigned, const std::string *> Claimed;
   for (const std::string &Name : Names) {
     CodeChange Change;
     Change.ProjectName = P.Name;
     if (!readCommit(::dirfd(Commits.get()), CommitsPath, Name, Change, Error))
       return false;
+    auto [It, Fresh] = Claimed.emplace(Change.CommitIndex, &Name);
+    if (!Fresh)
+      return fail(Error, "commit directories " +
+                             pathJoin(CommitsPath, *It->second) + " and " +
+                             pathJoin(CommitsPath, Name) +
+                             " have the same index " +
+                             std::to_string(Change.CommitIndex));
     P.History.push_back(std::move(Change));
   }
   return true;

@@ -44,7 +44,10 @@ bool writeCorpus(const Corpus &C, const std::string &RootDir,
 /// a directory where a file belongs — is a failure naming its path,
 /// never a silently empty file or a partial corpus.
 /// Projects, HEAD files and commits come in bytewise name order; names
-/// are bytes (no encoding is assumed). Symlinks are followed, and a
+/// are bytes (no encoding is assumed). A commit's index is the number
+/// after its leading `c` (0 when there is none); two commit directories
+/// of one project with the same index (c0001 and c1) are a failure
+/// naming both paths. Symlinks are followed, and a
 /// dangling one loads as absent.
 /// The walk goes through directory descriptors: each project directory
 /// is opened once, `head/` and `commits/` are listed with readdir (an

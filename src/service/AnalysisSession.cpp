@@ -2,7 +2,6 @@
 
 #include "service/AnalysisSession.h"
 
-#include "cluster/DistanceCache.h"
 #include "core/ReportWriter.h"
 #include "support/ContentHash.h"
 #include "support/ThreadPool.h"
@@ -12,39 +11,6 @@
 
 using namespace diffcode;
 using namespace diffcode::service;
-
-/// Per-class incremental clustering state. Kept items are append-only
-/// across ingests (fsame/fadd/frem are per-item and fdup keeps *first*
-/// occurrences, so appending changes never evicts a survivor), which is
-/// what makes a persistent pair table sound: old pairs stay valid
-/// forever, an ingest only adds new rows.
-struct AnalysisSession::ClassState {
-  /// Feature signature (exact Removed/Added id vectors) -> dense
-  /// signature id. fdup guarantees Kept signatures are distinct within a
-  /// class, so a signature id identifies exactly one kept item for the
-  /// session's lifetime. Ids are internal bookkeeping only — they never
-  /// reach the report, so their dependence on interner id values is fine
-  /// (support/Interner.h determinism contract).
-  std::map<std::pair<std::vector<support::PathId>, std::vector<support::PathId>>,
-           std::uint32_t>
-      SigIds;
-  /// (lo signature id << 32 | hi) -> usageDist. Distances depend only on
-  /// the two feature sets, so the table survives any amount of
-  /// re-filtering.
-  std::unordered_map<std::uint64_t, double> PairDist;
-
-  std::uint32_t idFor(const usage::UsageChange &Change) {
-    auto It = SigIds.emplace(std::make_pair(Change.Removed, Change.Added),
-                             std::uint32_t(SigIds.size()));
-    return It.first->second;
-  }
-
-  static std::uint64_t pairKey(std::uint32_t A, std::uint32_t B) {
-    if (A > B)
-      std::swap(A, B);
-    return (std::uint64_t(A) << 32) | B;
-  }
-};
 
 namespace {
 
@@ -83,18 +49,18 @@ std::uint64_t configFingerprint(const core::PipelineConfig &Config) {
   return F;
 }
 
-/// True when an armed campaign could fire inside per-change analysis or
-/// clustering. Serving such work from a cache would skip fault points a
-/// cold run evaluates, so the session must run cold inside to stay
-/// byte-identical. ServiceHash itself is exempt by design (it fires *at*
-/// the cache, to attack key selectivity), and the Proc* sites only exist
-/// inside exec workers the session never spawns.
+/// True when an armed campaign could fire inside per-change analysis
+/// (Hungarian matching pairs DAGs there). Serving a record from the memo
+/// would skip fault points a cold run evaluates, so the session must
+/// analyze cold to stay byte-identical. The Clustering site is not here:
+/// the memo holds records, never trees. ServiceHash is exempt by design
+/// (it fires *at* the cache, to attack key selectivity), and the Proc*
+/// sites only exist inside exec workers the session never spawns.
 bool cachingSafeUnder(const support::FaultPlan &Plan) {
   const std::uint32_t UnsafeSites =
       support::faultSiteBit(support::FaultSite::Parser) |
       support::faultSiteBit(support::FaultSite::Interpreter) |
-      support::faultSiteBit(support::FaultSite::Hungarian) |
-      support::faultSiteBit(support::FaultSite::Clustering);
+      support::faultSiteBit(support::FaultSite::Hungarian);
   return !(Plan.enabled() && (Plan.SiteMask & UnsafeSites) != 0);
 }
 
@@ -118,14 +84,10 @@ AnalysisSession::AnalysisSession(const apimodel::CryptoApiModel &Api,
   // Start from the empty-corpus report a cold run over zero changes
   // produces: one ClassReport per target class (empty filter result,
   // empty tree) plus the all-zero health block.
-  for (const std::string &Class : TargetClasses) {
+  for (const std::string &Class : TargetClasses)
     Report.PerClass.push_back(System.filterClass({}, Class));
-    Classes.push_back(std::make_unique<ClassState>());
-  }
   core::computeCorpusHealth(Report);
 }
-
-AnalysisSession::~AnalysisSession() = default;
 
 AnalysisSession::CacheKey
 AnalysisSession::keyFor(const corpus::CodeChange &Change) const {
@@ -290,86 +252,26 @@ void AnalysisSession::repairClass(std::size_t ClassIndex,
     Class.AllChanges.insert(Class.AllChanges.end(), It->second.begin(),
                             It->second.end());
   }
-  // Filter: a full linear re-run. Incrementalizing fdup's seen-set is
-  // possible but the filters are a rounding error next to clustering.
+  // Filter: a full linear re-run over the class.
+  const std::size_t KeptBefore = Class.Filtered.Kept.size();
   Class.Filtered = core::applyFilters(Class.AllChanges);
 
   if (!Opts.BuildDendrograms)
     return;
 
-  // Cold fallbacks: the sharded engine grafts shard trees (no clean pair
-  // seam), and armed analysis campaigns must evaluate every fault point
-  // a cold run would.
-  if (!CachingSafe || Opts.Config.Sharding.Enabled) {
+  // Kept is append-only (fsame/fadd/frem judge each item alone, fdup
+  // keeps first occurrences), so an unchanged size means the same items
+  // in the same order. clusterClass is deterministic on that input, its
+  // fault keys included, so the current Tree and Sharding are exactly
+  // what it would rebuild. A failed class is re-run, since a failure
+  // such as bad_alloc need not recur.
+  const std::uint64_t N = Class.Filtered.Kept.size();
+  const std::uint64_t Pairs = N < 2 ? 0 : N * (N - 1) / 2;
+  if (N > KeptBefore || !Class.ClusteringError.empty()) {
     System.clusterClass(Class);
-    return;
-  }
-
-  Class.Tree = cluster::Dendrogram();
-  Class.ClusteringError.clear();
-  Class.Sharding = cluster::ShardingStats();
-  const std::vector<usage::UsageChange> &Kept = Class.Filtered.Kept;
-  if (Kept.empty())
-    return;
-
-  // Incremental re-cluster: rebuild the dense matrix from the persisted
-  // pair table, computing only pairs never seen before (for an append
-  // ingest that is one thin border strip of the matrix), then hand it to
-  // the same agglomeration the batch engine uses. usageDist is a pure
-  // function of the two feature sets and UsageDistCache is bit-identical
-  // to it, so every looked-up entry matches what clusterUsageChanges
-  // would have computed — and identical matrices agglomerate into
-  // identical dendrograms.
-  ClassState &State = *Classes[ClassIndex];
-  const std::size_t N = Kept.size();
-  std::vector<std::uint32_t> Sig(N);
-  for (std::size_t I = 0; I < N; ++I)
-    Sig[I] = State.idFor(Kept[I]);
-
-  std::vector<double> Matrix(N * N, 0.0);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> MissingPairs;
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t J = I + 1; J < N; ++J) {
-      auto It = State.PairDist.find(ClassState::pairKey(Sig[I], Sig[J]));
-      if (It != State.PairDist.end()) {
-        Matrix[I * N + J] = Matrix[J * N + I] = It->second;
-        ++Stats.PairsReused;
-      } else {
-        MissingPairs.emplace_back(std::uint32_t(I), std::uint32_t(J));
-      }
-    }
-
-  if (!MissingPairs.empty()) {
-    std::vector<double> Fresh(MissingPairs.size());
-    unsigned Threads = std::min<unsigned>(
-        support::resolveThreads(Opts.Config.Clustering.Threads),
-        std::max<std::size_t>(MissingPairs.size(), 1));
-    support::ThreadPool Pool(Threads);
-    Pool.parallelForChunked(
-        MissingPairs.size(), 64, [&](std::size_t Begin, std::size_t Stop) {
-          for (std::size_t P = Begin; P < Stop; ++P)
-            Fresh[P] = cluster::usageDist(Kept[MissingPairs[P].first],
-                                          Kept[MissingPairs[P].second]);
-        });
-    for (std::size_t P = 0; P < MissingPairs.size(); ++P) {
-      auto [I, J] = MissingPairs[P];
-      Matrix[I * N + J] = Matrix[J * N + I] = Fresh[P];
-      State.PairDist.emplace(ClassState::pairKey(Sig[I], Sig[J]), Fresh[P]);
-    }
-    Stats.PairsComputed += MissingPairs.size();
-  }
-
-  // Same fault scope and same containment shape as DiffCode::clusterClass
-  // (with CachingSafe only disarmed-or-ServiceHash plans reach here, so
-  // the scope is inert — kept for exactness).
-  support::FaultScope Scope(&Opts.Config.Faults,
-                            core::classScopeKey(Class.TargetClass));
-  try {
-    Class.Tree = cluster::agglomerateDistanceMatrix(N, std::move(Matrix));
-  } catch (const std::exception &E) {
-    Class.Tree = cluster::Dendrogram();
-    Class.Sharding = cluster::ShardingStats();
-    Class.ClusteringError = E.what();
+    Stats.PairsComputed += Pairs;
+  } else {
+    Stats.PairsReused += Pairs;
   }
 }
 

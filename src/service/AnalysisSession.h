@@ -16,25 +16,26 @@
 ///     independent FNV-1a variants over both source versions, plus both
 ///     lengths, seeded by a fingerprint of the parse/analysis limits), so
 ///     re-ingesting an already-seen file re-analyzes nothing;
-///   * per-class pair distances are persisted across ingests keyed by
-///     usage-change feature signatures, so repairing a dendrogram after
-///     an append computes only the new item's pairs — every old pair is
-///     a table lookup (bit-identical: cluster::UsageDistCache's
-///     contract);
-///   * only classes whose usage set actually changed are re-filtered and
-///     re-clustered; untouched classes keep their ClassReport verbatim.
+///   * only classes whose usage set actually changed are re-filtered;
+///     untouched classes keep their ClassReport verbatim;
+///   * a re-filtered class is re-clustered through DiffCode::clusterClass
+///     only when its kept set grew (or it carries a ClusteringError).
+///     Kept items are append-only across ingests — fsame/fadd/frem judge
+///     each item alone and fdup keeps first occurrences — so an
+///     unchanged size means the same items in the same order, and
+///     clusterClass is deterministic on that input (fault keys
+///     included), so the kept Tree and Sharding are what a cold run
+///     would rebuild.
 ///
-/// Byte-identity contract (the PR 1-7 differential pattern): after any
-/// sequence of ingests, report() is byte-identical to a cold
-/// DiffCode::run over the same changes in the same order — at any
-/// thread count, any cache bound, and with the ServiceHash collision
-/// site armed. Two deliberate scope cuts keep that contract airtight:
-/// when the sharded clustering engine is enabled, changed classes fall
-/// back to a full (cold) cluster step, and when a fault campaign arms
-/// any in-process analysis site, memoisation is bypassed entirely —
-/// cached work evaluates fault points differently than cold work would,
-/// so the caches are only trusted when they cannot change observable
-/// behaviour.
+/// Byte-identity contract: after any sequence of ingests, report() is
+/// byte-identical to a cold DiffCode::run over the same changes in the
+/// same order, and every class's dendrogram equals the cold run's — at
+/// any thread count, any cache bound, sharded or not, and under any
+/// armed fault plan.
+/// When a fault campaign arms any in-process analysis site, record
+/// memoisation is bypassed entirely: cached work evaluates fault points
+/// differently than cold work would, so the memo is only trusted when
+/// it cannot change observable behaviour.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +47,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -84,10 +83,12 @@ struct IngestStats {
   std::size_t CacheHits = 0;     ///< Records served from the memo table.
   std::size_t CacheMisses = 0;   ///< Records analyzed fresh.
   std::size_t Evictions = 0;     ///< Memo entries dropped by the bound.
-  std::size_t ClassesRepaired = 0; ///< Classes re-filtered/re-clustered.
+  std::size_t ClassesRepaired = 0; ///< Classes re-filtered.
   std::size_t ClassesReused = 0;   ///< Classes kept verbatim.
-  std::uint64_t PairsComputed = 0; ///< Fresh usageDist evaluations.
-  std::uint64_t PairsReused = 0;   ///< Pair distances served from tables.
+  /// n(n-1)/2 over each re-clustered class's n kept items.
+  std::uint64_t PairsComputed = 0;
+  /// n(n-1)/2 over each repaired class whose tree was kept.
+  std::uint64_t PairsReused = 0;
 };
 
 /// Cumulative session counters (sums of every ingest's IngestStats plus
@@ -106,14 +107,14 @@ class AnalysisSession {
 public:
   explicit AnalysisSession(const apimodel::CryptoApiModel &Api,
                            SessionOptions Opts = SessionOptions());
-  ~AnalysisSession();
 
   AnalysisSession(const AnalysisSession &) = delete;
   AnalysisSession &operator=(const AnalysisSession &) = delete;
 
   /// Appends \p Changes to the session corpus and repairs the report:
   /// analyzes only cache-missing changes (Config.Threads workers),
-  /// re-filters and re-clusters only classes whose usage set changed.
+  /// re-filters only classes whose usage set changed, and re-clusters
+  /// only those whose kept set grew.
   /// The changes themselves are not retained — their records are.
   IngestStats ingest(const std::vector<corpus::CodeChange> &Changes);
 
@@ -140,8 +141,6 @@ public:
   }
 
 private:
-  struct ClassState;
-
   /// Dual-hash content key. Two independent 64-bit FNV-1a variants over
   /// (OldLen, Old bytes, NewLen, New bytes), each seeded by the config
   /// fingerprint, plus both raw lengths: a primary-hash collision (or
@@ -176,9 +175,9 @@ private:
   /// hashes, so a session with different limits never aliases records
   /// persisted by tooling that shares key material.
   std::uint64_t ConfigFingerprint = 0;
-  /// False when a fault campaign arms in-process analysis/clustering
-  /// sites: memoisation would change which fault points are evaluated,
-  /// so every ingest runs cold inside (still byte-identical).
+  /// False when a fault campaign arms an in-process analysis site:
+  /// memoisation would change which fault points are evaluated, so every
+  /// change is analyzed cold (still byte-identical).
   bool CachingSafe = true;
 
   /// The live report. Report.Changes is the session's record store;
@@ -190,9 +189,6 @@ private:
   /// order for deterministic eviction.
   std::unordered_map<CacheKey, core::ChangeRecord, CacheKeyHash> Cache;
   std::deque<CacheKey> CacheOrder;
-
-  /// Per target class (parallel to TargetClasses / Report.PerClass).
-  std::vector<std::unique_ptr<ClassState>> Classes;
 
   std::size_t Ingests = 0;
   IngestStats Lifetime;

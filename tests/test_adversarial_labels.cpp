@@ -3,19 +3,15 @@
 // String constants mined from real commits are not tame identifiers:
 // transformation strings can carry quotes, backslashes, non-ASCII bytes,
 // or be empty. These tests push such labels through the interned data
-// model and out both emission back-ends — ReportWriter (JSON) and
-// DendrogramExport (Graphviz DOT) — checking that
+// model and out through ReportWriter (JSON), checking that
 //
 //   * pathString(Id) stays byte-identical to pathToString(materialize),
-//   * the JSON is well-formed with every special escaped,
-//   * the DOT output never leaks an unescaped quote into an attribute.
+//   * the JSON is well-formed with every special escaped.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/ReportWriter.h"
 
-#include "cluster/DendrogramExport.h"
-#include "cluster/HierarchicalClustering.h"
 #include "oracles/UsageOracle.h"
 #include "support/Interner.h"
 #include "support/JsonWriter.h"
@@ -139,41 +135,4 @@ TEST(AdversarialLabels, JsonRoundTripPreservesRenderedPaths) {
   EXPECT_EQ(JsonWriter::escape(Rendered),
             Json.substr(Json.find("\"removed\":[\"") + 12,
                         JsonWriter::escape(Rendered).size()));
-}
-
-TEST(AdversarialLabels, DendrogramDotEscapesLeafLabels) {
-  std::vector<UsageChange> Changes = {
-      changeFor("AES\"CBC\"", "AES/GCM/NoPadding"),
-      changeFor("AES\\ECB\\NoPad", "AES/GCM/NoPadding"),
-      changeFor("line1\nline2", "AES/GCM/NoPadding"),
-      changeFor("ключ-π-鍵", "AES/GCM/NoPadding"),
-  };
-  cluster::Dendrogram Tree = cluster::clusterUsageChanges(Changes);
-  std::string Dot = cluster::toDot(
-      Tree, [&](std::size_t Item) { return Changes[Item].str(); });
-
-  // Every label attribute line is quote-balanced: an unescaped quote
-  // from a hostile label would break the attribute in half.
-  std::size_t Pos = 0;
-  while ((Pos = Dot.find("label=\"", Pos)) != std::string::npos) {
-    Pos += 7;
-    bool Closed = false;
-    while (Pos < Dot.size()) {
-      if (Dot[Pos] == '\\')
-        Pos += 2;
-      else if (Dot[Pos] == '"') {
-        Closed = true;
-        break;
-      } else {
-        EXPECT_NE(Dot[Pos], '\n') << "raw newline inside DOT label";
-        ++Pos;
-      }
-    }
-    EXPECT_TRUE(Closed);
-  }
-  // The escaped forms are present; non-ASCII passes through.
-  EXPECT_NE(Dot.find("AES\\\"CBC\\\""), std::string::npos);
-  EXPECT_NE(Dot.find("AES\\\\ECB\\\\NoPad"), std::string::npos);
-  EXPECT_NE(Dot.find("line1\\nline2"), std::string::npos);
-  EXPECT_NE(Dot.find("ключ-π-鍵"), std::string::npos);
 }

@@ -209,6 +209,38 @@ TEST_F(CorpusIOTest, DanglingSymlinksAreSkippedLikeAbsentFiles) {
   EXPECT_EQ(Loaded->Projects[0].History.size(), 1u);
 }
 
+TEST_F(CorpusIOTest, CommitDirectoriesWithOneIndexAreAnError) {
+  // c0001 and c1 both parse to index 1, and two names with no number
+  // both to 0: either pair would load as two changes with one origin.
+  for (const char *Twin : {"c1", "c01"}) {
+    fs::remove_all(Root);
+    fs::path Project = Root / "proj";
+    layOutProject(Project);
+    fs::copy(Project / "commits" / "c0001", Project / "commits" / Twin);
+
+    std::string Error;
+    EXPECT_FALSE(readCorpus(Root.string(), &Error).has_value()) << Twin;
+    EXPECT_NE(Error.find((Project / "commits" / "c0001").string()),
+              std::string::npos)
+        << Error;
+    EXPECT_NE(Error.find((Project / "commits" / Twin).string()),
+              std::string::npos)
+        << Error;
+  }
+
+  fs::remove_all(Root);
+  fs::path Project = Root / "proj";
+  layOutProject(Project);
+  for (const char *Name : {"cA", "cB"}) {
+    fs::create_directories(Project / "commits" / Name);
+    std::ofstream(Project / "commits" / Name / "new.java") << Name;
+  }
+  std::string Error;
+  EXPECT_FALSE(readCorpus(Root.string(), &Error).has_value());
+  EXPECT_NE(Error.find("/commits/cA and "), std::string::npos) << Error;
+  EXPECT_NE(Error.find("/commits/cB"), std::string::npos) << Error;
+}
+
 //===----------------------------------------------------------------------===//
 // readFileContents: one read() into a stat-sized string, and the chunked
 // fallback for FIFOs and zero-stat-size files
